@@ -1,9 +1,12 @@
 #include "core/extension_preservation.h"
 
+#include <optional>
 #include <string>
 
+#include "base/budget.h"
 #include "base/check.h"
 #include "base/subsets.h"
+#include "core/structure_space.h"
 #include "fo/eval.h"
 #include "structure/isomorphism.h"
 
@@ -19,23 +22,34 @@ bool IsExtensionMinimalModel(const BooleanQuery& q, const Structure& a,
   return true;
 }
 
+namespace {
+
+// The extension-minimal models in `space` up to `max_universe` elements,
+// deduplicated up to isomorphism.
+std::vector<Structure> ExtensionMinimalModels(StructureSpace& space,
+                                              int max_universe) {
+  std::vector<Structure> models;
+  Budget unlimited = Budget::Unlimited();
+  (void)space.ForEachInClass(
+      max_universe, unlimited, [&](int n, uint64_t mask) {
+        if (!space.IsExtensionMinimal(n, mask)) return true;
+        const Structure& a = space.At(n, mask);
+        for (const Structure& seen : models) {
+          if (AreIsomorphic(seen, a)) return true;
+        }
+        models.push_back(a);
+        return true;
+      });
+  return models;
+}
+
+}  // namespace
+
 std::vector<Structure> ExtensionMinimalModelsBySearch(
     const BooleanQuery& q, const Vocabulary& vocabulary,
     const StructureClass& c, int max_universe) {
-  std::vector<Structure> models;
-  ForEachStructureInClass(vocabulary, max_universe, c,
-                          [&](const Structure& a) {
-                            if (!q(a)) return true;
-                            if (!IsExtensionMinimalModel(q, a, c)) {
-                              return true;
-                            }
-                            for (const Structure& seen : models) {
-                              if (AreIsomorphic(seen, a)) return true;
-                            }
-                            models.push_back(a);
-                            return true;
-                          });
-  return models;
+  StructureSpace space(vocabulary, c, q);
+  return ExtensionMinimalModels(space, max_universe);
 }
 
 FormulaPtr ExistentialSentenceFromModels(
@@ -89,37 +103,33 @@ FormulaPtr ExistentialSentenceFromModels(
 ExtensionPreservationResult ExtensionPreservationPipeline(
     const FormulaPtr& sentence, const Vocabulary& vocabulary,
     const StructureClass& c, int search_universe, int verify_universe) {
-  HOMPRES_CHECK(IsSentence(sentence));
-  const BooleanQuery q = [&sentence](const Structure& a) {
-    return EvaluateSentence(a, sentence);
-  };
+  const CompiledSentence compiled(sentence, vocabulary);
+  // One space for the search and both verification scans: each
+  // structure's class membership and q are judged once.
+  StructureSpace space(vocabulary, c, [&compiled](const Structure& a) {
+    return compiled.Evaluate(a);
+  });
   ExtensionPreservationResult result;
   result.search_universe = search_universe;
   result.verify_universe = verify_universe;
-  result.minimal_models =
-      ExtensionMinimalModelsBySearch(q, vocabulary, c, search_universe);
-  if (result.minimal_models.empty()) {
-    // q is false on everything searched; "false" has no existential
-    // rendering here — verified only if q is false everywhere checked.
-    bool all_false = true;
-    ForEachStructureInClass(vocabulary, verify_universe, c,
-                            [&](const Structure& a) {
-                              all_false &= !q(a);
-                              return all_false;
-                            });
-    result.verified = all_false;
-    return result;
+  result.minimal_models = ExtensionMinimalModels(space, search_universe);
+  // q is false on everything searched when no model was found; "false"
+  // has no existential rendering here, so it is verified only if q is
+  // false everywhere checked.
+  std::optional<CompiledSentence> existential;
+  if (!result.minimal_models.empty()) {
+    result.equivalent_existential =
+        ExistentialSentenceFromModels(result.minimal_models);
+    existential.emplace(result.equivalent_existential, vocabulary);
   }
-  result.equivalent_existential =
-      ExistentialSentenceFromModels(result.minimal_models);
   bool all_agree = true;
-  ForEachStructureInClass(
-      vocabulary, verify_universe, c, [&](const Structure& a) {
-        if (q(a) != EvaluateSentence(a, result.equivalent_existential)) {
-          all_agree = false;
-          return false;
-        }
-        return true;
+  Budget unlimited = Budget::Unlimited();
+  (void)space.ForEachInClass(
+      verify_universe, unlimited, [&](int n, uint64_t mask) {
+        const bool by_query = space.Satisfies(n, mask);
+        all_agree = by_query == (existential.has_value() &&
+                                 existential->Evaluate(space.At(n, mask)));
+        return all_agree;
       });
   result.verified = all_agree;
   return result;

@@ -7,6 +7,7 @@
 #include "base/parallel_driver.h"
 #include "base/subsets.h"
 #include "base/thread_pool.h"
+#include "core/structure_space.h"
 #include "cq/cq.h"
 #include "engine/engine.h"
 #include "structure/isomorphism.h"
@@ -195,55 +196,13 @@ UnionOfCq UcqFromMinimalModels(const std::vector<Structure>& models) {
   return UnionOfCq(std::move(disjuncts), 0);
 }
 
-namespace {
-
-// Enumerates all structures with exactly n elements over `vocabulary` by
-// iterating over all subsets of the possible tuples. One budget step per
-// structure generated. Returns false iff fn or the budget stopped the
-// enumeration; budget.Stopped() disambiguates.
-bool ForEachStructureOfSize(const Vocabulary& vocabulary, int n,
-                            Budget& budget,
-                            const std::function<bool(const Structure&)>& fn) {
-  // Collect the full tuple space.
-  std::vector<std::pair<int, Tuple>> space;
-  for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
-    ForEachTuple(n, vocabulary.Arity(rel), [&](const std::vector<int>& t) {
-      space.emplace_back(rel, t);
-      return true;
-    });
-  }
-  HOMPRES_CHECK_LE(space.size(), 24u);  // 2^24 structures is the ceiling
-  const uint64_t limit = 1ULL << space.size();
-  for (uint64_t mask = 0; mask < limit; ++mask) {
-    if (!budget.Checkpoint()) return false;
-    Structure a(vocabulary, n);
-    for (size_t bit = 0; bit < space.size(); ++bit) {
-      if (mask & (1ULL << bit)) {
-        a.AddTuple(space[bit].first, space[bit].second);
-      }
-    }
-    if (!fn(a)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Outcome<bool> ForEachStructureInClassBudgeted(
     const Vocabulary& vocabulary, int max_universe, const StructureClass& c,
     Budget& budget, const std::function<bool(const Structure&)>& fn) {
-  for (int n = 0; n <= max_universe; ++n) {
-    const bool completed =
-        ForEachStructureOfSize(vocabulary, n, budget, [&](const Structure& a) {
-          if (!c.contains(a)) return true;
-          return fn(a);
-        });
-    if (budget.Stopped()) {
-      return Outcome<bool>::StoppedShort(budget.Report());
-    }
-    if (!completed) return Outcome<bool>::Done(false, budget.Report());
-  }
-  return Outcome<bool>::Done(true, budget.Report());
+  StructureSpace space(vocabulary, c);
+  return space.ForEachInClass(max_universe, budget, [&](int n, uint64_t mask) {
+    return fn(space.At(n, mask));
+  });
 }
 
 bool ForEachStructureInClass(const Vocabulary& vocabulary, int max_universe,
@@ -256,17 +215,17 @@ bool ForEachStructureInClass(const Vocabulary& vocabulary, int max_universe,
 }
 
 Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
-    const BooleanQuery& q, const Vocabulary& vocabulary,
-    const StructureClass& c, int max_universe, Budget& budget,
+    StructureSpace& space, int max_universe, Budget& budget,
     std::vector<Structure>* partial) {
   std::vector<Structure> models;
   if (partial != nullptr) partial->clear();
-  auto scan = ForEachStructureInClassBudgeted(
-      vocabulary, max_universe, c, budget, [&](const Structure& a) {
-        if (!q(a)) return true;
-        auto minimal = IsMinimalModelBudgeted(q, a, c, budget);
+  auto scan = space.ForEachInClass(
+      max_universe, budget, [&](int n, uint64_t mask) {
+        if (!space.Satisfies(n, mask)) return true;
+        auto minimal = space.IsMinimal(n, mask, budget);
         if (!minimal.IsDone()) return false;
         if (!minimal.Value()) return true;
+        const Structure& a = space.At(n, mask);
         for (const Structure& seen : models) {
           if (AreIsomorphic(seen, a)) return true;
         }
@@ -279,6 +238,14 @@ Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
   }
   return Outcome<std::vector<Structure>>::Done(std::move(models),
                                                budget.Report());
+}
+
+Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
+    const BooleanQuery& q, const Vocabulary& vocabulary,
+    const StructureClass& c, int max_universe, Budget& budget,
+    std::vector<Structure>* partial) {
+  StructureSpace space(vocabulary, c, q);
+  return MinimalModelsBySearchBudgeted(space, max_universe, budget, partial);
 }
 
 std::vector<Structure> MinimalModelsBySearch(const BooleanQuery& q,

@@ -23,9 +23,14 @@
 
 namespace hompres {
 
-// An abstract Boolean query (isomorphism invariance is the caller's
-// responsibility).
+// An abstract Boolean query. Isomorphism invariance and determinism are
+// the caller's responsibility: the brute-force search may evaluate q
+// once per structure and reuse the answer (see core/structure_space.h),
+// so q must give the same answer every time it is asked about the same
+// structure.
 using BooleanQuery = std::function<bool(const Structure&)>;
+
+class StructureSpace;
 
 // Minimality via one-step removals (sound and complete for classes closed
 // under substructures and queries monotone on C, e.g. preserved under
@@ -70,6 +75,7 @@ UnionOfCq UcqFromMinimalModels(const std::vector<Structure>& models);
 // `max_universe` that belongs to C, invoking fn (which returns false to
 // stop). The number of structures is 2^(sum n^arity) per universe size —
 // strictly a small-n tool. Returns true iff the enumeration completed.
+// A thin wrapper over StructureSpace::ForEachInClass.
 bool ForEachStructureInClass(const Vocabulary& vocabulary, int max_universe,
                              const StructureClass& c,
                              const std::function<bool(const Structure&)>& fn);
@@ -93,10 +99,17 @@ std::vector<Structure> MinimalModelsBySearch(const BooleanQuery& q,
 
 // Budgeted brute-force search. If `partial` is non-null it receives, even
 // on exhaustion, the minimal models confirmed before the stop — the
-// best-effort answer the preservation pipeline reports.
+// best-effort answer the preservation pipeline reports. One budget step
+// per structure generated and per one-step removal examined.
 Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
     const BooleanQuery& q, const Vocabulary& vocabulary,
     const StructureClass& c, int max_universe, Budget& budget,
+    std::vector<Structure>* partial = nullptr);
+
+// The same search over a caller-owned space (whose query is q), so later
+// scans of that space reuse the class and query answers it memoized.
+Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
+    StructureSpace& space, int max_universe, Budget& budget,
     std::vector<Structure>* partial = nullptr);
 
 // Empirical preservation check: for every ordered pair of samples with a

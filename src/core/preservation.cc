@@ -2,9 +2,9 @@
 
 #include <utility>
 
-#include "base/check.h"
 #include "base/failpoint.h"
 #include "base/retry.h"
+#include "core/structure_space.h"
 #include "cq/cq.h"
 #include "fo/eval.h"
 #include "opt/optimizer.h"
@@ -23,9 +23,11 @@ Outcome<PreservationResult> PreservationPipelineBudgeted(
       .search_universe = search_universe,
       .verify_universe = verify_universe,
   };
-  auto search = MinimalModelsBySearchBudgeted(q, vocabulary, c,
-                                              search_universe, budget,
-                                              partial);
+  // One space for both scans: the verification below re-reads the class
+  // and q answers the search memoized, so it only evaluates the UCQ.
+  StructureSpace space(vocabulary, c, q);
+  auto search =
+      MinimalModelsBySearchBudgeted(space, search_universe, budget, partial);
   if (!search.IsDone()) return Result::StoppedShort(budget.Report());
   result.minimal_models = std::move(search).TakeValue();
   // Theorem 3.1's UCQ is one disjunct per minimal model — typically full
@@ -40,13 +42,12 @@ Outcome<PreservationResult> PreservationPipelineBudgeted(
   // Exhaustive verification within the cap: q(A) == UCQ(A) for every
   // A in C with at most verify_universe elements.
   bool all_agree = true;
-  auto scan = ForEachStructureInClassBudgeted(
-      vocabulary, verify_universe, c, budget, [&](const Structure& a) {
-        if (q(a) != result.equivalent_ucq.SatisfiedBy(a)) {
-          all_agree = false;
-          return false;
-        }
-        return true;
+  auto scan = space.ForEachInClass(
+      verify_universe, budget, [&](int n, uint64_t mask) {
+        const bool by_query = space.Satisfies(n, mask);
+        all_agree = by_query ==
+                    result.equivalent_ucq.SatisfiedBy(space.At(n, mask));
+        return all_agree;
       });
   if (!scan.IsDone()) return Result::StoppedShort(budget.Report());
   result.verified = all_agree;
@@ -70,9 +71,9 @@ PreservationResult PreservationPipeline(const FormulaPtr& sentence,
                                         const StructureClass& c,
                                         int search_universe,
                                         int verify_universe) {
-  HOMPRES_CHECK(IsSentence(sentence));
-  const BooleanQuery q = [&sentence](const Structure& a) {
-    return EvaluateSentence(a, sentence);
+  const CompiledSentence compiled(sentence, vocabulary);
+  const BooleanQuery q = [&compiled](const Structure& a) {
+    return compiled.Evaluate(a);
   };
   return PreservationPipeline(q, vocabulary, c, search_universe,
                               verify_universe);

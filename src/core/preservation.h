@@ -54,8 +54,9 @@ PreservationResult PreservationPipeline(const BooleanQuery& q,
                                         int search_universe,
                                         int verify_universe);
 
-// Convenience overload: q given as a first-order sentence (evaluated
-// naively). CHECK-fails if f is not a sentence.
+// Convenience overload: q given as a first-order sentence, compiled once
+// (fo/eval.h) and run on every structure the pipeline judges.
+// CHECK-fails if f is not a sentence over `vocabulary`.
 PreservationResult PreservationPipeline(const FormulaPtr& sentence,
                                         const Vocabulary& vocabulary,
                                         const StructureClass& c,

@@ -60,6 +60,20 @@ HomPlan PlanSubQuery(const HomProblem& problem, const EngineConfig& config) {
   return *std::move(planned.plan);
 }
 
+// Nullary tuples constrain no element, so no kernel sees them: a 0-ary
+// tuple of the source that the target lacks rules out every map up
+// front (no witness, count 0, nothing to enumerate).
+bool NullaryTuplesPreserved(const Structure& a, const Structure& b) {
+  const Vocabulary& vocabulary = a.GetVocabulary();
+  for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
+    if (vocabulary.Arity(rel) == 0 && !a.Tuples(rel).empty() &&
+        b.Tuples(rel).empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
                                                       Budget& budget);
 Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget);
@@ -230,6 +244,9 @@ Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
   using Result = Outcome<std::optional<std::vector<int>>>;
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
+  if (!NullaryTuplesPreserved(a, b)) {
+    return Result::Done(std::nullopt, budget.Report());
+  }
   if (plan.components.size() >= 2) return FindFactorized(plan, budget);
   if (plan.config.num_threads > 0) {
     return ParallelFindHomomorphismBudgeted(a, b, budget,
@@ -253,6 +270,9 @@ Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
   const uint64_t limit = plan.problem.limit;
+  if (!NullaryTuplesPreserved(a, b)) {
+    return Outcome<uint64_t>::Done(0, budget.Report());
+  }
   if (plan.components.size() >= 2) return CountFactorized(plan, budget);
   if (plan.config.num_threads > 0) {
     return ParallelCountHomomorphismsBudgeted(a, b, budget, limit,
@@ -385,6 +405,11 @@ Outcome<HomResult> ExecuteEnumerate(const HomPlan& root, Budget& budget,
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
   bool callback_stopped = false;
+  if (!NullaryTuplesPreserved(a, b)) {
+    HomResult none;
+    none.enumeration_completed = true;
+    return Outcome<HomResult>::Done(std::move(none), budget.Report());
+  }
   RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,
                      [&](const std::vector<int>& h) {
                        if (!plan.problem.callback(h)) {

@@ -471,5 +471,39 @@ TEST(EnginePlan, GreedyBoundFirstAtomOrderPrefersBoundSlots) {
   EXPECT_EQ(GreedyBoundFirstAtomOrder({}, 0), (std::vector<int>{}));
 }
 
+// A 0-ary tuple constrains no element, so the kernels never see it; the
+// engine must still refuse every map from a source holding it into a
+// target lacking it, in every query mode.
+TEST(EngineNullary, MissingNullaryTupleRulesOutEveryMap) {
+  Vocabulary voc;
+  voc.AddRelation("Z", 0);
+  voc.AddRelation("E", 2);
+  Structure source(voc, 1);
+  source.AddTuple(0, {});
+  Structure target(voc, 2);
+  target.AddTuple(1, {0, 1});
+  Budget budget = Budget::Unlimited();
+  EXPECT_FALSE(Engine::Has(source, target, budget).Value());
+  EXPECT_FALSE(Engine::Find(source, target, budget).Value().has_value());
+  EXPECT_EQ(Engine::Count(source, target, budget, 0).Value(), 0u);
+  int maps = 0;
+  EXPECT_TRUE(Engine::Enumerate(source, target, budget,
+                                [&](const std::vector<int>&) {
+                                  ++maps;
+                                  return true;
+                                })
+                  .Value());
+  EXPECT_EQ(maps, 0);
+  // With the tuple present in the target, both elements are images.
+  target.AddTuple(0, {});
+  EXPECT_TRUE(Engine::Has(source, target, budget).Value());
+  EXPECT_EQ(Engine::Count(source, target, budget, 0).Value(), 2u);
+  // The empty source (universe 0) too.
+  Structure bare(voc, 0);
+  bare.AddTuple(0, {});
+  EXPECT_FALSE(Engine::Has(bare, Structure(voc, 0), budget).Value());
+  EXPECT_TRUE(Engine::Has(bare, target, budget).Value());
+}
+
 }  // namespace
 }  // namespace hompres

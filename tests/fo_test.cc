@@ -1,8 +1,12 @@
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/check.h"
 #include "base/rng.h"
+#include "base/subsets.h"
 #include "cq/cq.h"
 #include "fo/cqk.h"
 #include "fo/ep.h"
@@ -247,6 +251,235 @@ TEST_P(CqkProperty, Lemma72OnRandomSentences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CqkProperty, ::testing::Range(0, 12));
+
+// --- Differential test: the compiled evaluator against a tree walker. ---
+//
+// The oracle is the plain recursive Tarskian evaluator over a name ->
+// element map, copied at every quantifier. Random formulas over
+// {Z/0, P/1, E/2} with variables drawn from {x, y, z} exercise ¬, ∀, =,
+// re-quantified (shadowed) variables, and free variables supplied
+// through the Environment; random structures include the empty
+// universe. The default seed is fixed; HOMPRES_TEST_SEED overrides it:
+//
+//   HOMPRES_TEST_SEED=<seed> ./fo_test --gtest_filter='CompiledEval*'
+
+constexpr uint64_t kDefaultSeed = 20261017;
+
+uint64_t TestSeed() {
+  const char* env = std::getenv("HOMPRES_TEST_SEED");
+  if (env == nullptr || *env == '\0') return kDefaultSeed;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(env, &end, 10);
+  if (end == nullptr || *end != '\0') {
+    ADD_FAILURE() << "HOMPRES_TEST_SEED is not a number: " << env;
+    return kDefaultSeed;
+  }
+  return static_cast<uint64_t>(value);
+}
+
+bool OracleEvaluate(const Structure& s, const FormulaPtr& f,
+                    const Environment& env) {
+  switch (f->Kind()) {
+    case FormulaKind::kAtom: {
+      const auto rel = s.GetVocabulary().IndexOf(f->Relation());
+      HOMPRES_CHECK(rel.has_value());
+      Tuple t;
+      for (const auto& v : f->Variables()) t.push_back(env.at(v));
+      return s.HasTuple(*rel, t);
+    }
+    case FormulaKind::kEqual:
+      return env.at(f->Variables()[0]) == env.at(f->Variables()[1]);
+    case FormulaKind::kNot:
+      return !OracleEvaluate(s, f->Children()[0], env);
+    case FormulaKind::kAnd:
+      for (const auto& child : f->Children()) {
+        if (!OracleEvaluate(s, child, env)) return false;
+      }
+      return true;
+    case FormulaKind::kOr:
+      for (const auto& child : f->Children()) {
+        if (OracleEvaluate(s, child, env)) return true;
+      }
+      return false;
+    case FormulaKind::kExists:
+    case FormulaKind::kForall: {
+      const bool exists = f->Kind() == FormulaKind::kExists;
+      Environment extended = env;
+      for (int e = 0; e < s.UniverseSize(); ++e) {
+        extended[f->Variables()[0]] = e;
+        if (OracleEvaluate(s, f->Children()[0], extended) == exists) {
+          return exists;
+        }
+      }
+      return !exists;
+    }
+  }
+  HOMPRES_CHECK(false);
+  return false;
+}
+
+Vocabulary MixedVocabulary() {
+  Vocabulary voc;
+  voc.AddRelation("Z", 0);
+  voc.AddRelation("P", 1);
+  voc.AddRelation("E", 2);
+  return voc;
+}
+
+std::string RandomVariable(Rng& rng) {
+  static const char* const kNames[] = {"x", "y", "z"};
+  return kNames[rng.Uniform(3)];
+}
+
+FormulaPtr RandomFormula(Rng& rng, int depth) {
+  const int kind = static_cast<int>(rng.Uniform(depth <= 0 ? 4 : 10));
+  switch (kind) {
+    case 0:
+      return Formula::Atom("Z", {});
+    case 1:
+      return Formula::Atom("P", {RandomVariable(rng)});
+    case 2:
+      return Formula::Atom("E", {RandomVariable(rng), RandomVariable(rng)});
+    case 3: {
+      // Named first: argument evaluation order is unspecified, and the
+      // stream must replay identically from a seed on every compiler.
+      std::string left = RandomVariable(rng);
+      return Formula::Equal(std::move(left), RandomVariable(rng));
+    }
+    case 4:
+      return Formula::Not(RandomFormula(rng, depth - 1));
+    case 5:
+    case 6: {
+      std::vector<FormulaPtr> children;
+      const int count = rng.UniformInt(1, 3);
+      for (int i = 0; i < count; ++i) {
+        children.push_back(RandomFormula(rng, depth - 1));
+      }
+      return kind == 5 ? Formula::And(std::move(children))
+                       : Formula::Or(std::move(children));
+    }
+    case 7:
+    case 8: {
+      std::string variable = RandomVariable(rng);
+      FormulaPtr body = RandomFormula(rng, depth - 1);
+      return Formula::Exists(std::move(variable), std::move(body));
+    }
+    default: {
+      std::string variable = RandomVariable(rng);
+      FormulaPtr body = RandomFormula(rng, depth - 1);
+      return Formula::Forall(std::move(variable), std::move(body));
+    }
+  }
+}
+
+// Every possible tuple present with probability 1/2.
+Structure RandomMixedStructure(int n, Rng& rng) {
+  const Vocabulary voc = MixedVocabulary();
+  Structure s(voc, n);
+  for (int rel = 0; rel < voc.NumRelations(); ++rel) {
+    ForEachTuple(n, voc.Arity(rel), [&](const std::vector<int>& t) {
+      if (rng.Bernoulli(0.5)) s.AddTuple(rel, t);
+      return true;
+    });
+  }
+  return s;
+}
+
+TEST(CompiledEval, AgreesWithTreeWalkerOnRandomFormulas) {
+  const uint64_t seed = TestSeed();
+  Rng rng(seed);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const FormulaPtr f = RandomFormula(rng, 4);
+    const int n = rng.UniformInt(0, 3);
+    const Structure s = RandomMixedStructure(n, rng);
+    // Free variables get elements from the Environment; the empty
+    // universe has no elements to give, so there f is closed first.
+    FormulaPtr closed = f;
+    Environment env;
+    for (const std::string& v : FreeVariables(f)) {
+      if (n == 0) {
+        closed = rng.Bernoulli(0.5) ? Formula::Exists(v, closed)
+                                    : Formula::Forall(v, closed);
+      } else {
+        env[v] = rng.UniformInt(0, n - 1);
+      }
+    }
+    const bool expected = OracleEvaluate(s, closed, env);
+    EXPECT_EQ(Evaluate(s, closed, env), expected)
+        << "seed " << seed << " trial " << trial << ": " << closed->ToString()
+        << " on " << s.DebugString();
+    if (env.empty()) {
+      EXPECT_EQ(EvaluateSentence(s, closed), expected)
+          << "seed " << seed << " trial " << trial << ": "
+          << closed->ToString();
+    }
+    // One compiled form, many structures.
+    const CompiledSentence compiled(closed, MixedVocabulary(), env);
+    for (int other = 0; other < 3; ++other) {
+      const Structure t = RandomMixedStructure(n, rng);
+      EXPECT_EQ(compiled.Evaluate(t), OracleEvaluate(t, closed, env))
+          << "seed " << seed << " trial " << trial << ": "
+          << closed->ToString() << " on " << t.DebugString();
+    }
+  }
+}
+
+TEST(CompiledEval, ShadowedVariablesKeepTheOuterBinding) {
+  // The inner ∃x must not clobber the outer x, and y stays the
+  // Environment's element throughout.
+  const FormulaPtr f =
+      MustParse("exists x (E(x,x) & exists x E(x,y) & E(x,x))");
+  Structure s(GraphVocabulary(), 3);
+  s.AddTuple(0, {0, 0});  // the outer witness: a loop at 0
+  s.AddTuple(0, {2, 1});  // the inner witness: an edge into y = 1
+  const Environment env = {{"y", 1}};
+  EXPECT_TRUE(Evaluate(s, f, env));
+  EXPECT_EQ(Evaluate(s, f, env), OracleEvaluate(s, f, env));
+  const Environment other = {{"y", 0}};  // only 0 -> 0 enters 0: still true
+  EXPECT_TRUE(Evaluate(s, f, other));
+  const Environment none = {{"y", 2}};  // nothing enters 2
+  EXPECT_FALSE(Evaluate(s, f, none));
+  EXPECT_EQ(Evaluate(s, f, none), OracleEvaluate(s, f, none));
+  // Every structure of universe <= 2 over E, with y bound everywhere.
+  for (int n = 1; n <= 2; ++n) {
+    for (int mask = 0; mask < 1 << (n * n); ++mask) {
+      Structure t(GraphVocabulary(), n);
+      for (int bit = 0; bit < n * n; ++bit) {
+        if ((mask >> bit & 1) != 0) t.AddTuple(0, {bit / n, bit % n});
+      }
+      for (int y = 0; y < n; ++y) {
+        const Environment bound = {{"y", y}};
+        EXPECT_EQ(Evaluate(t, f, bound), OracleEvaluate(t, f, bound))
+            << t.DebugString() << " y=" << y;
+      }
+    }
+  }
+}
+
+TEST(CompiledEval, EmptyUniverse) {
+  const Structure empty(MixedVocabulary(), 0);
+  EXPECT_FALSE(EvaluateSentence(empty, MustParse("exists x (x = x)")));
+  EXPECT_TRUE(EvaluateSentence(empty, MustParse("forall x !(x = x)")));
+  EXPECT_TRUE(EvaluateSentence(empty, MustParse("forall x exists y E(x,y)")));
+  EXPECT_FALSE(EvaluateSentence(empty, MustParse("exists x forall y P(y)")));
+  EXPECT_FALSE(EvaluateSentence(empty, Formula::Atom("Z", {})));
+  Structure z(MixedVocabulary(), 0);
+  z.AddTuple(0, {});
+  EXPECT_TRUE(EvaluateSentence(z, Formula::Atom("Z", {})));
+}
+
+TEST(CompiledEval, FreeVariablesFromTheEnvironment) {
+  const FormulaPtr f = MustParse("E(x,y) & !P(x) | x = y");
+  const CompiledSentence compiled(f, MixedVocabulary(),
+                                  {{"x", 1}, {"y", 2}, {"unused", 0}});
+  Structure s(MixedVocabulary(), 3);
+  EXPECT_FALSE(compiled.Evaluate(s));
+  s.AddTuple(2, {1, 2});
+  EXPECT_TRUE(compiled.Evaluate(s));
+  s.AddTuple(1, {1});
+  EXPECT_FALSE(compiled.Evaluate(s));
+  EXPECT_TRUE(Evaluate(s, f, {{"x", 0}, {"y", 0}}));
+}
 
 }  // namespace
 }  // namespace hompres
