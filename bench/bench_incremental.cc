@@ -7,11 +7,11 @@
 //     forced from-scratch refixpoint baseline on the same stream. The
 //     incremental/scratch ratio must grow with the base size — the
 //     acceptance bar is >=5x at the largest Arg.
-//  2. The bounded-UCQ crossover: for a certified-bounded program the
-//     planner can either re-evaluate the optimized stage UCQ (cost
-//     independent of the delta) or run counting maintenance (cost
-//     proportional to the delta). The batch-size sweep measures where
-//     the curves cross; check_regression.py keeps both rows honest.
+//  2. The bounded-UCQ sweep: a certified-bounded program is maintained
+//     by counting over its optimized stage-UCQ unfolding, a plain
+//     counting view by counting over its own rules. Both costs grow with
+//     the delta; the batch-size sweep compares them row by row, and
+//     check_regression.py keeps both rows honest.
 //
 // Every row labels itself with the MaintenancePlan summary of the last
 // delete-side Apply ("maintain=dred ..."), so a silent strategy change
@@ -124,7 +124,7 @@ void RunTwoStepStream(benchmark::State& state, bool force_scratch) {
   MaterializedViewOptions options;
   options.force_from_scratch = force_scratch;
   // Boundedness probe off: this pair isolates counting maintenance; the
-  // crossover sweep below is where bounded-UCQ gets its turn.
+  // batch sweep below is where bounded-UCQ gets its turn.
   options.max_bounded_stage = 0;
   MaterializedView view(DatalogProgram::TwoStepReachability(),
                         RandomDigraph(n, /*seed=*/0x5eed0018), options);
@@ -156,15 +156,15 @@ void BM_TwoStepStreamScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoStepStreamScratch)->Arg(64)->Arg(256)->Arg(512);
 
-// --- Bounded-UCQ crossover sweep. ---
+// --- Bounded-UCQ vs counting sweep. ---
 //
 // Fixed 96-element base, batch size B swept across the Args. The same
 // two-step program is maintained twice: once with the boundedness probe
-// on (the planner picks bounded-ucq — stage-UCQ re-evaluation, cost
-// independent of B) and once with it off (counting — cost grows with
-// B). Small B favors counting, large B favors bounded-ucq; the measured
-// crossover is the pair of adjacent rows where the faster column flips,
-// recorded in EXPERIMENTS.md.
+// on (the planner picks bounded-ucq: counting over the optimized
+// stage-UCQ unfolding) and once with it off (counting over the
+// program's own rules). Both costs grow with B; derivations_per_step
+// shows the join work behind each row. EXPERIMENTS.md records the
+// table.
 constexpr int kCrossoverUniverse = 96;
 
 // B distinct edges absent from the base graph, chosen deterministically.
@@ -199,12 +199,15 @@ void RunCrossoverBatch(benchmark::State& state, int max_bounded_stage) {
     remove.RemoveTuple(0, {a, b});
   }
   ViewMaintenanceStats last;
+  long long derivations = 0;
   for (auto _ : state) {
-    view.Apply(insert);
+    const ViewMaintenanceStats ins = view.Apply(insert);
     last = view.Apply(remove);
+    derivations = ins.derivations + last.derivations;
     benchmark::DoNotOptimize(view.Idb());
   }
   state.SetLabel(last.plan.Summary());
+  state.counters["derivations_per_step"] = static_cast<double>(derivations);
   state.counters["delta_tuples"] = static_cast<double>(batch);
   state.counters["bounded"] = view.Bounded() ? 1.0 : 0.0;
   state.counters["idb_tuples"] = static_cast<double>(IdbTuples(view));

@@ -34,6 +34,12 @@ run fell down the degradation ladder (index -> scan, parallel -> serial,
 from its baseline row means the bench silently measured a fallback path
 — for example, an index build failing on the runner — so it fails the
 gate like a timing regression does.
+
+Correctness counters gate too: a current row whose "agree" counter or
+any "agreement*" counter reads below 1 fails, whatever its timing and
+whether or not the row has a baseline. Those counters compare a bench's
+answer against an oracle (a maintained view against the refixpoint, a
+kernel against Chandra-Merlin), so a 0 is a wrong answer, not noise.
 """
 
 import json
@@ -53,6 +59,7 @@ def load_rows(path):
     table = {}
     plans = {}
     simd = {}
+    disagreements = {}
     for row in rows:
         key = (row.get("bench", "?"), row.get("name", "?"))
         time = row.get("real_time_ns")
@@ -64,7 +71,15 @@ def load_rows(path):
         level = row.get("simd")
         if isinstance(level, str) and level:
             simd[key] = level
-    return table, plans, simd
+        counters = row.get("counters")
+        if isinstance(counters, dict):
+            failed = sorted(
+                name for name, value in counters.items()
+                if (name == "agree" or name.startswith("agreement"))
+                and isinstance(value, (int, float)) and value < 1)
+            if failed:
+                disagreements[key] = failed
+    return table, plans, simd, disagreements
 
 
 def plan_tokens(summary):
@@ -98,8 +113,8 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
 
-    baseline, base_plans, base_simd = load_rows(paths[0])
-    current, cur_plans, cur_simd = load_rows(paths[1])
+    baseline, base_plans, base_simd, _ = load_rows(paths[0])
+    current, cur_plans, cur_simd, disagreements = load_rows(paths[1])
     shared = sorted(set(baseline) & set(current))
     if not shared:
         print("error: no shared (bench, name) rows to compare", file=sys.stderr)
@@ -172,6 +187,8 @@ def main(argv):
         print(f"{plan_changes} row(s) changed plan (informational)")
     for (bench, name), kinds in degradations:
         print(f"DEGRADED  {bench}  {name}  ({'+'.join(kinds)})")
+    for (bench, name), counters in sorted(disagreements.items()):
+        print(f"DISAGREE  {bench}  {name}  ({', '.join(counters)} < 1)")
     if regressions:
         regressions.sort(reverse=True)
         for ratio, (bench, name) in regressions:
@@ -185,6 +202,10 @@ def main(argv):
         print(f"{len(degradations)} row(s) ran degraded with no degraded "
               "baseline (injected or real fault during the bench run)",
               file=sys.stderr)
+        return 1
+    if disagreements:
+        print(f"{len(disagreements)} row(s) disagree with their oracle "
+              "(agree/agreement counter below 1)", file=sys.stderr)
         return 1
     print("no regressions")
     return 0

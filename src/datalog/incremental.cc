@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "base/budget.h"
@@ -308,6 +309,29 @@ void AccumulateBase(const DeltaApplyResult& r, ViewMaintenanceStats* stats) {
   stats->base.version = r.version;
 }
 
+// One stage-UCQ disjunct as an EDB-only rule head(free) <- canonical
+// atoms: element e becomes the variable named std::to_string(e), so a
+// repeated free element stays a repeated head variable.
+DatalogRule DisjunctRule(const std::string& head, const ConjunctiveQuery& cq) {
+  const Structure& canonical = cq.Canonical();
+  // Rule safety, kept by core minimization: every variable is in an atom.
+  HOMPRES_CHECK(canonical.IsolatedElements().empty());
+  DatalogRule rule;
+  rule.head.relation = head;
+  for (int e : cq.FreeElements()) {
+    rule.head.arguments.push_back(std::to_string(e));
+  }
+  const Vocabulary& voc = canonical.GetVocabulary();
+  for (int rel = 0; rel < voc.NumRelations(); ++rel) {
+    for (const Tuple& t : canonical.Tuples(rel)) {
+      DatalogAtom& atom = rule.body.emplace_back();
+      atom.relation = voc.Name(rel);
+      for (int e : t) atom.arguments.push_back(std::to_string(e));
+    }
+  }
+  return rule;
+}
+
 }  // namespace
 
 // Per-EDB-relation net effect of a delta script: inserts and removes of
@@ -361,11 +385,6 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
       options_(options),
       base_(std::move(base)) {
   HOMPRES_CHECK(program_.Edb() == base_.GetVocabulary());
-  compiled_ = CompileProgram(program_);
-  rule_heads_.reserve(program_.Rules().size());
-  for (const DatalogRule& rule : program_.Rules()) {
-    rule_heads_.push_back(*program_.IdbIndexOf(rule.head.relation));
-  }
   has_inequalities_ = program_.HasInequalities();
   recursive_ = !TopoOrderIdb(program_, &topo_);
   const size_t idb_count =
@@ -375,7 +394,8 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
   // Boundedness certification (skipped for Datalog(≠): stage unfolding
   // is unavailable there, and for the forced baseline, which never uses
   // the strategy). Every IDB must carry a witness; the stage UCQs are
-  // optimized once, here, and only re-evaluated afterwards.
+  // optimized once, here, and their disjuncts become the EDB-only rules
+  // that counting maintains from then on.
   if (options_.max_bounded_stage > 0 && !has_inequalities_ &&
       !options_.force_from_scratch) {
     std::vector<int> stages(idb_count, 0);
@@ -394,18 +414,27 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
       Budget unlimited = Budget::Unlimited();
       OptimizerOptions opt;
       opt.num_threads = options_.num_threads;
-      stage_ucqs_.reserve(idb_count);
+      topo_.clear();  // unfolded IDBs read no IDB: any order works
       for (size_t i = 0; i < idb_count; ++i) {
+        const int idb = static_cast<int>(i);
         bounded_stage_ = std::max(bounded_stage_, stages[i]);
-        stage_ucqs_.push_back(OptimizeUcqBudgeted(
-            StageUcq(program_, static_cast<int>(i), stages[i]), unlimited,
-            opt));
+        const UnionOfCq ucq = OptimizeUcqBudgeted(
+            StageUcq(program_, idb, stages[i]), unlimited, opt);
+        for (const ConjunctiveQuery& disjunct : ucq.Disjuncts()) {
+          unfolding_.push_back(
+              DisjunctRule(program_.Idb().Name(idb), disjunct));
+        }
+        topo_.push_back(idb);
       }
     }
   }
+  for (const DatalogRule& rule : Rules()) {
+    compiled_.push_back(CompileRule(rule));
+    rule_heads_.push_back(*program_.IdbIndexOf(rule.head.relation));
+  }
 
   counting_state_ =
-      !recursive_ && !bounded_ && !options_.force_from_scratch;
+      (bounded_ || !recursive_) && !options_.force_from_scratch;
   if (counting_state_) {
     counts_.assign(idb_count, {});
     long long derivations = 0;
@@ -423,16 +452,16 @@ const std::set<Tuple>& MaterializedView::IdbRelation(int idb_index) const {
   return idb_[static_cast<size_t>(idb_index)];
 }
 
-// Non-recursive full evaluation that also (re)builds the derivation
+// Full evaluation of the (non-recursive) rule set that also (re)builds the
 // counts: one counting join per rule, IDBs in dependency order.
 void MaterializedView::FullCountingEval(long long* derivations) {
   const RelationIndex* index = base_.TryIndex();
   for (auto& counts : counts_) counts.clear();
   for (auto& set : idb_) set.clear();
   for (int p : topo_) {
-    for (size_t r = 0; r < program_.Rules().size(); ++r) {
+    for (size_t r = 0; r < Rules().size(); ++r) {
       if (rule_heads_[r] != p) continue;
-      const DatalogRule& rule = program_.Rules()[r];
+      const DatalogRule& rule = Rules()[r];
       std::vector<Src> sources;
       sources.reserve(rule.body.size());
       for (const DatalogAtom& atom : rule.body) {
@@ -492,10 +521,7 @@ ViewMaintenanceStats MaterializedView::Apply(const StructureDelta& delta) {
       stats.base = base_.Apply(delta);
       Refixpoint(&stats);
       break;
-    case MaintainStrategy::kBoundedUcq:
-      stats.base = base_.Apply(delta);
-      EvaluateBounded(&stats);
-      break;
+    case MaintainStrategy::kBoundedUcq:  // counting over the unfolding
     case MaintainStrategy::kCounting:
       stats.base = base_.Apply(delta);
       MaintainCounting(net, &stats);
@@ -537,24 +563,7 @@ void MaterializedView::Refixpoint(ViewMaintenanceStats* stats) {
   DiffStats(before, idb_, stats);
 }
 
-void MaterializedView::EvaluateBounded(ViewMaintenanceStats* stats) {
-  for (size_t i = 0; i < stage_ucqs_.size(); ++i) {
-    std::vector<Tuple> rows =
-        options_.num_threads > 0
-            ? stage_ucqs_[i].Evaluate(base_, options_.num_threads)
-            : stage_ucqs_[i].Evaluate(base_);
-    std::set<Tuple> next(rows.begin(), rows.end());
-    for (const Tuple& t : next) {
-      if (idb_[i].count(t) == 0) ++stats->idb_inserted;
-    }
-    for (const Tuple& t : idb_[i]) {
-      if (next.count(t) == 0) ++stats->idb_removed;
-    }
-    idb_[i] = std::move(next);
-  }
-}
-
-// Counting maintenance (non-recursive programs): for each rule and each
+// Counting maintenance (non-recursive rule sets): for each rule and each
 // body position i whose relation changed, add the signed staging term
 //
 //   join(new_1, ..., new_{i-1}, Δ±_i, old_{i+1}, ..., old_k)
@@ -605,9 +614,9 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
 
   for (int p : topo_) {
     std::map<Tuple, long long> delta_counts;
-    for (size_t r = 0; r < program_.Rules().size(); ++r) {
+    for (size_t r = 0; r < Rules().size(); ++r) {
       if (rule_heads_[r] != p) continue;
-      const DatalogRule& rule = program_.Rules()[r];
+      const DatalogRule& rule = Rules()[r];
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const auto [ins_i, rem_i] = delta_sets(rule.body[i]);
         const std::set<Tuple>* deltas[2] = {ins_i, rem_i};
@@ -681,7 +690,7 @@ void MaterializedView::DeltaInsert(
   const auto run = [&](size_t r, size_t delta_pos,
                        const std::set<Tuple>& dset,
                        IdbInterpretation* out) {
-    const DatalogRule& rule = program_.Rules()[r];
+    const DatalogRule& rule = Rules()[r];
     std::vector<Src> sources;
     sources.reserve(rule.body.size());
     for (size_t j = 0; j < rule.body.size(); ++j) {
@@ -710,8 +719,8 @@ void MaterializedView::DeltaInsert(
 
   // Seed round: the inserted tuples at each matching body position.
   IdbInterpretation seeded(idb_count);
-  for (size_t r = 0; r < program_.Rules().size(); ++r) {
-    const DatalogRule& rule = program_.Rules()[r];
+  for (size_t r = 0; r < Rules().size(); ++r) {
+    const DatalogRule& rule = Rules()[r];
     for (size_t i = 0; i < rule.body.size(); ++i) {
       const auto e = program_.Edb().IndexOf(rule.body[i].relation);
       if (!e.has_value()) continue;
@@ -724,8 +733,8 @@ void MaterializedView::DeltaInsert(
   while (any) {
     ++stats->rounds;
     IdbInterpretation derived(idb_count);
-    for (size_t r = 0; r < program_.Rules().size(); ++r) {
-      const DatalogRule& rule = program_.Rules()[r];
+    for (size_t r = 0; r < Rules().size(); ++r) {
+      const DatalogRule& rule = Rules()[r];
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const auto q = program_.IdbIndexOf(rule.body[i].relation);
         if (!q.has_value()) continue;
@@ -771,7 +780,7 @@ void MaterializedView::DRed(const NetDelta& net,
     const auto run = [&](size_t r, size_t delta_pos,
                          const std::set<Tuple>& dset,
                          IdbInterpretation* out) {
-      const DatalogRule& rule = program_.Rules()[r];
+      const DatalogRule& rule = Rules()[r];
       std::vector<Src> sources;
       sources.reserve(rule.body.size());
       for (size_t j = 0; j < rule.body.size(); ++j) {
@@ -798,8 +807,8 @@ void MaterializedView::DRed(const NetDelta& net,
     };
 
     IdbInterpretation seeded(idb_count);
-    for (size_t r = 0; r < program_.Rules().size(); ++r) {
-      const DatalogRule& rule = program_.Rules()[r];
+    for (size_t r = 0; r < Rules().size(); ++r) {
+      const DatalogRule& rule = Rules()[r];
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const auto e = program_.Edb().IndexOf(rule.body[i].relation);
         if (!e.has_value()) continue;
@@ -812,8 +821,8 @@ void MaterializedView::DRed(const NetDelta& net,
     while (any) {
       ++stats->rounds;
       IdbInterpretation derived(idb_count);
-      for (size_t r = 0; r < program_.Rules().size(); ++r) {
-        const DatalogRule& rule = program_.Rules()[r];
+      for (size_t r = 0; r < Rules().size(); ++r) {
+        const DatalogRule& rule = Rules()[r];
         for (size_t i = 0; i < rule.body.size(); ++i) {
           const auto q = program_.IdbIndexOf(rule.body[i].relation);
           if (!q.has_value()) continue;
@@ -880,9 +889,9 @@ void MaterializedView::DRed(const NetDelta& net,
 bool MaterializedView::ExistsDerivation(int idb_index, const Tuple& fact,
                                         long long* derivations) const {
   const RelationIndex* index = base_.TryIndex();
-  for (size_t r = 0; r < program_.Rules().size(); ++r) {
+  for (size_t r = 0; r < Rules().size(); ++r) {
     if (rule_heads_[r] != idb_index) continue;
-    const DatalogRule& rule = program_.Rules()[r];
+    const DatalogRule& rule = Rules()[r];
     std::vector<Src> sources;
     sources.reserve(rule.body.size());
     for (const DatalogAtom& atom : rule.body) {

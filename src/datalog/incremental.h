@@ -8,11 +8,13 @@
 //   * bounded-UCQ     — when every IDB carries an Ajtai-Gurevich
 //                       boundedness certificate (datalog/stages.h), the
 //                       fixpoint IS the stage-s unfolding Theta^s, a
-//                       plain UCQ over the EDB. The view optimizes each
-//                       unfolding once at certification time
-//                       (opt/optimizer.h) and afterwards maintains by
-//                       re-evaluating it: cost independent of the delta
-//                       shape, no deletion machinery at all.
+//                       plain UCQ over the EDB (Theorem 7.5). The view
+//                       optimizes each unfolding once at certification
+//                       time (opt/optimizer.h), turns every disjunct into
+//                       an EDB-only rule IDB(free) <- canonical atoms,
+//                       and maintains that non-recursive rule set by
+//                       counting: cost set by the delta, exact under
+//                       insertion and deletion.
 //   * counting        — non-recursive programs keep the number of
 //                       derivations of every IDB fact. A delta updates
 //                       the counts by the signed inclusion-exclusion
@@ -53,7 +55,6 @@
 #include <set>
 #include <vector>
 
-#include "cq/ucq.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/rule_eval.h"
@@ -65,14 +66,15 @@ namespace hompres {
 
 struct MaterializedViewOptions {
   // Cap for the construction-time Ajtai-Gurevich boundedness probe
-  // (datalog/stages.h): the smallest witness <= cap certifies the
-  // program for the bounded-UCQ strategy. 0 disables the probe (and the
+  // (datalog/stages.h): a witness below the cap for every IDB certifies
+  // the program for the bounded-UCQ strategy. 0 disables the probe (and the
   // strategy). Programs with inequalities are never probed — stage
   // unfolding is unavailable for Datalog(≠).
   int max_bounded_stage = 2;
 
   // Worker threads for the certification-time stage-UCQ optimization
-  // and for bounded-UCQ re-evaluation. 0 = serial.
+  // and for semi-naive (re)fixpoints of views without counting state.
+  // Maintenance joins are serial. 0 = serial.
   int num_threads = 0;
 
   // Always maintain by full refixpoint: the bit-identical baseline the
@@ -147,7 +149,6 @@ class MaterializedView {
   NetDelta ComputeNet(const StructureDelta& delta) const;
   void FullCountingEval(long long* derivations);
   void Refixpoint(ViewMaintenanceStats* stats);
-  void EvaluateBounded(ViewMaintenanceStats* stats);
   void MaintainCounting(const NetDelta& net, ViewMaintenanceStats* stats);
   void DeltaInsert(const std::vector<std::set<Tuple>>& edb_ins,
                    ViewMaintenanceStats* stats);
@@ -155,24 +156,33 @@ class MaterializedView {
   bool ExistsDerivation(int idb_index, const Tuple& fact,
                         long long* derivations) const;
 
+  // The rule set every maintenance join reads: the program's own rules,
+  // or, once bounded, the stage-UCQ unfolding.
+  const std::vector<DatalogRule>& Rules() const {
+    return bounded_ ? unfolding_ : program_.Rules();
+  }
+
   DatalogProgram program_;
   MaterializedViewOptions options_;
   Structure base_;
-  std::vector<CompiledRule> compiled_;
-  std::vector<int> rule_heads_;  // IDB index per rule
+  std::vector<CompiledRule> compiled_;  // per Rules() entry
+  std::vector<int> rule_heads_;         // IDB index per Rules() entry
 
   bool recursive_ = false;
   bool has_inequalities_ = false;
-  std::vector<int> topo_;  // IDB evaluation order (empty when recursive)
+  // IDB evaluation order over Rules() (empty when recursive and not
+  // bounded).
+  std::vector<int> topo_;
 
   bool bounded_ = false;
   int bounded_stage_ = 0;
-  std::vector<UnionOfCq> stage_ucqs_;  // per IDB, optimized; when bounded
+  // One EDB-only rule per optimized stage-UCQ disjunct; when bounded.
+  std::vector<DatalogRule> unfolding_;
 
   IdbInterpretation idb_;
-  // Derivation counts per IDB fact; maintained exactly when the
-  // counting strategy is reachable (non-recursive, not bounded, not a
-  // forced baseline).
+  // Derivation counts per IDB fact over Rules(); maintained exactly when
+  // counting or bounded-UCQ is reachable (bounded or non-recursive, not
+  // a forced baseline).
   std::vector<std::map<Tuple, long long>> counts_;
   bool counting_state_ = false;
 };

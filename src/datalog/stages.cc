@@ -119,6 +119,67 @@ ConjunctiveQuery UnfoldRule(const DatalogProgram& program,
   return ConjunctiveQuery(std::move(canonical), std::move(head_elements));
 }
 
+// Theta^0: false for every IDB.
+std::vector<UnionOfCq> FalseStage(const DatalogProgram& program) {
+  std::vector<UnionOfCq> stage;
+  for (int i = 0; i < program.Idb().NumRelations(); ++i) {
+    stage.emplace_back(std::vector<ConjunctiveQuery>{}, program.Idb().Arity(i));
+  }
+  return stage;
+}
+
+// Theta^{m+1} of every IDB from Theta^m.
+std::vector<UnionOfCq> NextStage(const DatalogProgram& program,
+                                 const std::vector<UnionOfCq>& current,
+                                 bool minimize) {
+  const size_t idb_count = current.size();
+  std::vector<std::vector<ConjunctiveQuery>> next(idb_count);
+  for (const DatalogRule& rule : program.Rules()) {
+    const int head = *program.IdbIndexOf(rule.head.relation);
+    // Per body atom: list of previous-stage disjuncts (IDB) or a
+    // single nullptr slot (EDB).
+    std::vector<std::vector<const ConjunctiveQuery*>> options(
+        rule.body.size());
+    bool feasible = true;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      const auto idb = program.IdbIndexOf(rule.body[i].relation);
+      if (!idb.has_value()) {
+        options[i] = {nullptr};
+        continue;
+      }
+      for (const ConjunctiveQuery& d :
+           current[static_cast<size_t>(*idb)].Disjuncts()) {
+        options[i].push_back(&d);
+      }
+      if (options[i].empty()) feasible = false;
+    }
+    if (!feasible) continue;
+    // Cartesian product over the options.
+    std::vector<const ConjunctiveQuery*> chosen(rule.body.size());
+    std::function<void(size_t)> expand = [&](size_t index) {
+      if (index == rule.body.size()) {
+        next[static_cast<size_t>(head)].push_back(
+            UnfoldRule(program, rule, chosen));
+        HOMPRES_CHECK_LT(next[static_cast<size_t>(head)].size(),
+                         kRunawayGuard);
+        return;
+      }
+      for (const ConjunctiveQuery* option : options[index]) {
+        chosen[index] = option;
+        expand(index + 1);
+      }
+    };
+    expand(0);
+  }
+  std::vector<UnionOfCq> stage;
+  for (size_t i = 0; i < idb_count; ++i) {
+    UnionOfCq ucq(std::move(next[i]),
+                  program.Idb().Arity(static_cast<int>(i)));
+    stage.push_back(minimize ? MinimizeUcq(ucq) : ucq);
+  }
+  return stage;
+}
+
 }  // namespace
 
 UnionOfCq StageUcq(const DatalogProgram& program, int idb_index, int m,
@@ -129,70 +190,42 @@ UnionOfCq StageUcq(const DatalogProgram& program, int idb_index, int m,
   // Stage formulas are unions of conjunctive queries; inequalities leave
   // that fragment (Section 7.3), so Datalog(≠) programs are rejected.
   HOMPRES_CHECK(!program.HasInequalities());
-  const size_t idb_count =
-      static_cast<size_t>(program.Idb().NumRelations());
-  // Theta^0: false for every IDB.
-  std::vector<UnionOfCq> current;
-  for (size_t i = 0; i < idb_count; ++i) {
-    current.emplace_back(std::vector<ConjunctiveQuery>{},
-                         program.Idb().Arity(static_cast<int>(i)));
-  }
+  std::vector<UnionOfCq> current = FalseStage(program);
   for (int step = 0; step < m; ++step) {
-    std::vector<std::vector<ConjunctiveQuery>> next(idb_count);
-    for (const DatalogRule& rule : program.Rules()) {
-      const int head = *program.IdbIndexOf(rule.head.relation);
-      // Per body atom: list of previous-stage disjuncts (IDB) or a
-      // single nullptr slot (EDB).
-      std::vector<std::vector<const ConjunctiveQuery*>> options(
-          rule.body.size());
-      bool feasible = true;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const auto idb = program.IdbIndexOf(rule.body[i].relation);
-        if (!idb.has_value()) {
-          options[i] = {nullptr};
-          continue;
-        }
-        for (const ConjunctiveQuery& d :
-             current[static_cast<size_t>(*idb)].Disjuncts()) {
-          options[i].push_back(&d);
-        }
-        if (options[i].empty()) feasible = false;
-      }
-      if (!feasible) continue;
-      // Cartesian product over the options.
-      std::vector<const ConjunctiveQuery*> chosen(rule.body.size());
-      std::function<void(size_t)> expand = [&](size_t index) {
-        if (index == rule.body.size()) {
-          next[static_cast<size_t>(head)].push_back(
-              UnfoldRule(program, rule, chosen));
-          HOMPRES_CHECK_LT(next[static_cast<size_t>(head)].size(),
-                           kRunawayGuard);
-          return;
-        }
-        for (const ConjunctiveQuery* option : options[index]) {
-          chosen[index] = option;
-          expand(index + 1);
-        }
-      };
-      expand(0);
-    }
-    std::vector<UnionOfCq> stage;
-    for (size_t i = 0; i < idb_count; ++i) {
-      UnionOfCq ucq(std::move(next[i]),
-                    program.Idb().Arity(static_cast<int>(i)));
-      stage.push_back(minimize ? MinimizeUcq(ucq) : ucq);
-    }
-    current = std::move(stage);
+    current = NextStage(program, current, minimize);
   }
   return current[static_cast<size_t>(idb_index)];
 }
 
 std::optional<int> FindBoundednessWitness(const DatalogProgram& program,
                                           int idb_index, int max_stage) {
-  UnionOfCq previous = StageUcq(program, idb_index, 0);
+  HOMPRES_CHECK(!program.HasInequalities());
+  // The dependency cone of idb_index: itself and every IDB its rules
+  // read, transitively.
+  std::vector<bool> cone(static_cast<size_t>(program.Idb().NumRelations()));
+  cone.at(static_cast<size_t>(idb_index)) = true;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const DatalogRule& rule : program.Rules()) {
+      const int p = *program.IdbIndexOf(rule.head.relation);
+      if (!cone[static_cast<size_t>(p)]) continue;
+      for (const DatalogAtom& atom : rule.body) {
+        const auto q = program.IdbIndexOf(atom.relation);
+        if (q.has_value() && !cone[static_cast<size_t>(*q)]) {
+          cone[static_cast<size_t>(*q)] = true;
+          grew = true;
+        }
+      }
+    }
+  }
+  std::vector<UnionOfCq> previous = FalseStage(program);
   for (int s = 0; s < max_stage; ++s) {
-    UnionOfCq next = StageUcq(program, idb_index, s + 1);
-    if (UcqEquivalent(previous, next)) return s;
+    std::vector<UnionOfCq> next = NextStage(program, previous, true);
+    bool stable = true;
+    for (size_t j = 0; j < next.size() && stable; ++j) {
+      stable = !cone[j] || UcqEquivalent(previous[j], next[j]);
+    }
+    if (stable) return s;
     previous = std::move(next);
   }
   return std::nullopt;

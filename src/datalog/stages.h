@@ -25,10 +25,13 @@ namespace hompres {
 UnionOfCq StageUcq(const DatalogProgram& program, int idb_index, int m,
                    bool minimize = true);
 
-// Ajtai-Gurevich boundedness probe: the smallest s <= max_stage with
-// Theta^s ≡ Theta^{s+1} (then the program computes `idb_index` within s
-// stages on every finite structure), or nullopt if none below the cap.
-// Equivalence of stage formulas is decided by Sagiv-Yannakakis.
+// Ajtai-Gurevich boundedness probe: the smallest s < max_stage with
+// Theta^s ≡ Theta^{s+1} for `idb_index` and for every IDB it reads,
+// transitively (then they all stay stable, and the program computes
+// `idb_index` within s stages on every finite structure), or nullopt if
+// none below the cap. Stability of `idb_index` alone is not enough: it
+// can repeat a stage while a predicate it reads still grows. Equivalence
+// of stage formulas is decided by Sagiv-Yannakakis.
 std::optional<int> FindBoundednessWitness(const DatalogProgram& program,
                                           int idb_index, int max_stage);
 

@@ -8,10 +8,10 @@
 //   2. empty net tuple delta      -> no-op (element appends cannot create
 //                                   IDB facts: every head variable is
 //                                   bound through a body atom)
-//   3. certified bounded program  -> re-evaluate the optimized stage-UCQ
-//                                   unfoldings (PR9 optimizer output);
-//                                   cost is delta-independent, so this
-//                                   wins once deltas are large or mixed
+//   3. certified bounded program  -> count derivations over the optimized
+//                                   stage-UCQ unfolding, one EDB-only
+//                                   rule per disjunct (Theorem 7.5);
+//                                   cost follows the delta
 //   4. non-recursive program      -> counting (signed derivation counts,
 //                                   exact under insertion AND deletion)
 //   5. insertion-only delta       -> semi-naive delta rules
@@ -40,7 +40,7 @@ namespace hompres {
 
 enum class MaintainStrategy {
   kNoOp,         // empty net tuple delta: apply appends, keep the IDB
-  kBoundedUcq,   // bounded program: evaluate the cached stage UCQs
+  kBoundedUcq,   // bounded program: counting over the stage-UCQ unfolding
   kCounting,     // non-recursive: signed derivation-count maintenance
   kDeltaInsert,  // insertion-only: semi-naive delta rounds
   kDRed,         // deletions in a recursive program: overdelete/rederive

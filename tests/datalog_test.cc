@@ -1,3 +1,5 @@
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
@@ -138,6 +140,24 @@ TEST(Stages, BoundedRecursiveProgramDetected) {
   const auto witness = FindBoundednessWitness(program, 0, 4);
   ASSERT_TRUE(witness.has_value());
   EXPECT_EQ(*witness, 1);
+}
+
+TEST(Stages, WitnessWaitsForEveryIdbItReads) {
+  //   L(x) <- E(x,x)
+  //   T(y) <- L(x), E(x,y)
+  // T's stages 0 and 1 are both false, yet stage 2 is not: T reads L,
+  // which only stabilizes at stage 1. T's witness is 2, L's is 1.
+  DatalogProgram program(
+      GraphVocabulary(),
+      {DatalogRule{{"L", {"x"}}, {{"E", {"x", "x"}}}},
+       DatalogRule{{"T", {"y"}}, {{"L", {"x"}}, {"E", {"x", "y"}}}}});
+  const int l = *program.IdbIndexOf("L");
+  const int t = *program.IdbIndexOf("T");
+  EXPECT_EQ(FindBoundednessWitness(program, l, 4), std::optional<int>(1));
+  EXPECT_EQ(FindBoundednessWitness(program, t, 4), std::optional<int>(2));
+  EXPECT_EQ(FindBoundednessWitness(program, t, 2), std::nullopt);
+  EXPECT_EQ(StageUcq(program, t, 1).Disjuncts().size(), 0u);
+  EXPECT_EQ(StageUcq(program, t, 2).Disjuncts().size(), 1u);
 }
 
 TEST(Stages, MutualRecursion) {

@@ -795,6 +795,10 @@ TEST_F(ServerDifferentialTest, RegisteredViewsStayWarmAcrossMutations) {
       } else if (name == "r2") {
         saw_r2 = true;
         EXPECT_EQ(strategy, "bounded-ucq") << "step " << i;
+        // Every step changes E, which the stage-UCQ unfolding reads: its
+        // counting joins must show up in the maintenance block.
+        EXPECT_GT(*entry.Find("derivations")->AsInt64(), 0)
+            << "step " << i << ": " << entry.Serialize();
       }
     }
     EXPECT_TRUE(saw_tc && saw_r2);
