@@ -7,9 +7,15 @@
 
 #include "json_main.h"
 
+#include <algorithm>
+#include <vector>
+
+#include "base/budget.h"
 #include "base/rng.h"
 #include "graph/builders.h"
+#include "cq/cq.h"
 #include "cq/decomposed_eval.h"
+#include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/problem.h"
 #include "hom/core.h"
@@ -239,6 +245,11 @@ void RunPathCountEngines(benchmark::State& state, bool use_index) {
     benchmark::DoNotOptimize(count);
   }
   state.counters["hom_count"] = static_cast<double>(count);
+  // Search nodes per count: the vertex-cover cut-off stops the search
+  // once the assigned path elements cover every edge.
+  Budget budget = Budget::Unlimited();
+  (void)CountHomomorphismsBudgeted(path, b, budget, /*limit=*/0, options);
+  state.counters["steps"] = static_cast<double>(budget.Report().steps_used);
   LabelPlan(state, path, b, HomQueryMode::kCount, options);
 }
 
@@ -274,6 +285,88 @@ void BM_HomomorphismCounting(benchmark::State& state) {
 }
 
 BENCHMARK(BM_HomomorphismCounting)->Arg(3)->Arg(4)->Arg(5);
+
+// A random connected digraph: a random spanning tree with random edge
+// directions, plus further edges up to `edges`.
+Structure RandomConnectedDigraph(int n, int edges, Rng& rng) {
+  Structure a(GraphVocabulary(), n);
+  for (int v = 1; v < n; ++v) {
+    const int u = rng.UniformInt(0, v - 1);
+    if (rng.UniformInt(0, 1) == 0) {
+      a.AddTuple(0, {u, v});
+    } else {
+      a.AddTuple(0, {v, u});
+    }
+  }
+  while (static_cast<int>(a.Tuples(0).size()) < edges) {
+    const int u = rng.UniformInt(0, n - 1);
+    const int v = rng.UniformInt(0, n - 1);
+    if (u != v) a.AddTuple(0, {u, v});
+  }
+  return a;
+}
+
+// Every vertex gets `degree` distinct random out-neighbours.
+Structure RandomOutRegularDigraph(int n, int degree, Rng& rng) {
+  Structure b(GraphVocabulary(), n);
+  for (int u = 0; u < n; ++u) {
+    int added = 0;
+    while (added < degree) {
+      const int v = rng.UniformInt(0, n - 1);
+      if (v != u && b.AddTuple(0, {u, v})) ++added;
+    }
+  }
+  return b;
+}
+
+// CQ evaluation by projection: 16 connected 6-vertex, 6-edge queries
+// with 1 or 2 free variables (the arg) on a 64-vertex out-degree-3
+// target. `agree` checks every answer set against the enumerate,
+// project, sort and dedup path; `steps` is the search nodes per query
+// and `answers` the answers per query.
+void BM_CqEvaluate(benchmark::State& state) {
+  const int arity = static_cast<int>(state.range(0));
+  Rng rng(53);
+  const Structure b = RandomOutRegularDigraph(64, 3, rng);
+  std::vector<ConjunctiveQuery> queries;
+  for (int i = 0; i < 16; ++i) {
+    std::vector<int> free = {0};
+    if (arity == 2) free.push_back(rng.UniformInt(1, 5));
+    queries.emplace_back(RandomConnectedDigraph(6, 6, rng), free);
+  }
+  size_t answers = 0;
+  for (auto _ : state) {
+    answers = 0;
+    for (const ConjunctiveQuery& q : queries) answers += q.Evaluate(b).size();
+    benchmark::DoNotOptimize(answers);
+  }
+  bool agree = true;
+  uint64_t steps = 0;
+  for (const ConjunctiveQuery& q : queries) {
+    std::vector<Tuple> oracle;
+    EnumerateHomomorphisms(q.Canonical(), b, [&](const std::vector<int>& h) {
+      Tuple answer;
+      for (int e : q.FreeElements()) {
+        answer.push_back(h[static_cast<size_t>(e)]);
+      }
+      oracle.push_back(std::move(answer));
+      return true;
+    });
+    std::sort(oracle.begin(), oracle.end());
+    oracle.erase(std::unique(oracle.begin(), oracle.end()), oracle.end());
+    agree = agree && q.Evaluate(b) == oracle;
+    Budget budget = Budget::Unlimited();
+    (void)Engine::Project(q.Canonical(), b, budget, q.FreeElements(),
+                          [](const std::vector<int>&) { return true; });
+    steps += budget.Report().steps_used;
+  }
+  const double num_queries = static_cast<double>(queries.size());
+  state.counters["agree"] = agree ? 1.0 : 0.0;
+  state.counters["steps"] = static_cast<double>(steps) / num_queries;
+  state.counters["answers"] = static_cast<double>(answers) / num_queries;
+}
+
+BENCHMARK(BM_CqEvaluate)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace hompres

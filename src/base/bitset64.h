@@ -174,6 +174,15 @@ inline bool AnySet(const uint64_t* words, int num_words) {
   return false;
 }
 
+// True iff a and b share a set bit. Stops at the first shared word, so
+// it stays an inline scalar loop at every width.
+inline bool Intersects(const uint64_t* a, const uint64_t* b, int num_words) {
+  for (int w = 0; w < num_words; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 inline bool Equal(const uint64_t* a, const uint64_t* b, int num_words) {
   if (num_words > kInlineWords) {
     return simd::ActiveKernels().equal(a, b, num_words);

@@ -79,7 +79,9 @@ class AlignedWordPool {
       capacity_ = new_capacity;
     }
     size_ = num_words;
-    std::memset(words_, 0, size_ * sizeof(uint64_t));
+    // A fresh pool resized to 0 still has a null buffer, and memset of a
+    // null pointer is undefined even for 0 bytes.
+    if (size_ != 0) std::memset(words_, 0, size_ * sizeof(uint64_t));
   }
 
   uint64_t* data() { return words_; }

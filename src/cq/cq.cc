@@ -46,19 +46,15 @@ bool ConjunctiveQuery::SatisfiedBy(const Structure& b) const {
 
 std::vector<Tuple> ConjunctiveQuery::Evaluate(const Structure& b) const {
   if (!NullaryAtomsHold(canonical_, b)) return {};
+  // The projection search emits each answer once: no dedup needed.
   std::vector<Tuple> answers;
   Budget unlimited = Budget::Unlimited();
-  Engine::Enumerate(canonical_, b, unlimited, [&](const std::vector<int>& h) {
-    Tuple answer;
-    answer.reserve(free_elements_.size());
-    for (int e : free_elements_) {
-      answer.push_back(h[static_cast<size_t>(e)]);
-    }
-    answers.push_back(std::move(answer));
-    return true;
-  });
+  Engine::Project(canonical_, b, unlimited, free_elements_,
+                  [&](const std::vector<int>& answer) {
+                    answers.push_back(answer);
+                    return true;
+                  });
   std::sort(answers.begin(), answers.end());
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
   return answers;
 }
 

@@ -16,8 +16,12 @@ namespace hompres {
 
 namespace {
 
-KernelOptions ToKernelOptions(const EngineConfig& config) {
+KernelOptions ToKernelOptions(const HomPlan& plan) {
+  const EngineConfig& config = plan.config;
   KernelOptions options;
+  options.mode = plan.problem.mode;
+  options.limit = plan.problem.limit;
+  options.free = plan.problem.free;
   options.surjective = config.surjective;
   options.forced = config.forced;
   options.use_arc_consistency = config.use_arc_consistency;
@@ -253,7 +257,7 @@ Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
                                             ToHomOptions(plan.config));
   }
   std::optional<std::vector<int>> result;
-  RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,
+  RunSerialHomKernel(a, b, ToKernelOptions(plan), budget,
                      [&](const std::vector<int>& h) {
                        result = h;
                        return false;  // stop at the first witness
@@ -278,12 +282,8 @@ Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
     return ParallelCountHomomorphismsBudgeted(a, b, budget, limit,
                                               ToHomOptions(plan.config));
   }
-  uint64_t count = 0;
-  RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,
-                     [&](const std::vector<int>&) {
-                       ++count;
-                       return limit == 0 || count < limit;
-                     });
+  const uint64_t count =
+      RunSerialHomKernel(a, b, ToKernelOptions(plan), budget);
   // Reaching the limit completes the query; only a budget stop without
   // the limit leaves the count uncertain.
   if (limit != 0 && count >= limit) {
@@ -399,8 +399,10 @@ Outcome<HomResult> ExecuteCount(const HomPlan& plan, Budget& budget,
   return Outcome<HomResult>::Done(std::move(result), counted.Report());
 }
 
-Outcome<HomResult> ExecuteEnumerate(const HomPlan& root, Budget& budget,
-                                    ExecutionTrace* trace) {
+// Enumerate and project: the kernel streams full maps or answer tuples
+// into the caller's callback.
+Outcome<HomResult> ExecuteStream(const HomPlan& root, Budget& budget,
+                                 ExecutionTrace* trace) {
   const HomPlan plan = DegradeForDispatch(root, root, trace);
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
@@ -410,7 +412,7 @@ Outcome<HomResult> ExecuteEnumerate(const HomPlan& root, Budget& budget,
     none.enumeration_completed = true;
     return Outcome<HomResult>::Done(std::move(none), budget.Report());
   }
-  RunSerialHomKernel(a, b, ToKernelOptions(plan.config), budget,
+  RunSerialHomKernel(a, b, ToKernelOptions(plan), budget,
                      [&](const std::vector<int>& h) {
                        if (!plan.problem.callback(h)) {
                          callback_stopped = true;
@@ -469,7 +471,8 @@ Outcome<HomResult> Engine::Execute(const HomPlan& plan, Budget& budget,
       case HomQueryMode::kCount:
         return ExecuteCount(plan, budget, trace);
       case HomQueryMode::kEnumerate:
-        return ExecuteEnumerate(plan, budget, trace);
+      case HomQueryMode::kProject:
+        return ExecuteStream(plan, budget, trace);
     }
     HOMPRES_CHECK(false);
     return Outcome<HomResult>::StoppedShort(BudgetReport{});
@@ -527,6 +530,22 @@ Outcome<bool> Engine::Enumerate(
   problem.target = &b;
   problem.mode = HomQueryMode::kEnumerate;
   problem.callback = callback;
+  auto out = Execute(PlanSubQuery(problem, config), budget);
+  if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
+  return Outcome<bool>::Done(out.Value().enumeration_completed, out.Report());
+}
+
+Outcome<bool> Engine::Project(
+    const Structure& a, const Structure& b, Budget& budget,
+    const std::vector<int>& free,
+    const std::function<bool(const std::vector<int>&)>& callback,
+    const EngineConfig& config) {
+  HomProblem problem;
+  problem.source = &a;
+  problem.target = &b;
+  problem.mode = HomQueryMode::kProject;
+  problem.callback = callback;
+  problem.free = free;
   auto out = Execute(PlanSubQuery(problem, config), budget);
   if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
   return Outcome<bool>::Done(out.Value().enumeration_completed, out.Report());

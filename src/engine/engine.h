@@ -6,7 +6,7 @@
 // and synthesizes the stop reason — logic that previously lived
 // duplicated across the per-mode entry points. Callers build a
 // HomProblem, plan it (engine/plan.h), and execute the plan; the
-// Has/Find/Count/Enumerate statics wrap that sequence for the common
+// Has/Find/Count/Enumerate/Project statics wrap that sequence for the common
 // case (strict planning, default-constructed or caller-valid config —
 // an invalid config is a programming error there and fails hard).
 //
@@ -35,7 +35,8 @@ namespace hompres {
 //   kHas        -> has
 //   kFind       -> witness (nullopt = certain "no"); has mirrors it
 //   kCount      -> count
-//   kEnumerate  -> enumeration_completed (false = the callback stopped)
+//   kEnumerate,
+//   kProject    -> enumeration_completed (false = the callback stopped)
 struct HomResult {
   std::optional<std::vector<int>> witness;
   bool has = false;
@@ -79,6 +80,13 @@ class Engine {
                                  const EngineConfig& config = {});
   static Outcome<bool> Enumerate(
       const Structure& a, const Structure& b, Budget& budget,
+      const std::function<bool(const std::vector<int>&)>& callback,
+      const EngineConfig& config = {});
+  // Visits each distinct tuple of images of `free` that extends to a
+  // homomorphism a -> b, once, in search order (not sorted).
+  static Outcome<bool> Project(
+      const Structure& a, const Structure& b, Budget& budget,
+      const std::vector<int>& free,
       const std::function<bool(const std::vector<int>&)>& callback,
       const EngineConfig& config = {});
 };

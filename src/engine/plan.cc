@@ -23,6 +23,8 @@ const char* HomQueryModeName(HomQueryMode mode) {
       return "count";
     case HomQueryMode::kEnumerate:
       return "enumerate";
+    case HomQueryMode::kProject:
+      return "project";
   }
   return "?";
 }
@@ -109,11 +111,16 @@ uint64_t CacheOptionsDigest(const EngineConfig& config, uint64_t limit) {
 
 namespace {
 
+// Enumeration and projection stream their answers through the callback.
+bool Streams(HomQueryMode mode) {
+  return mode == HomQueryMode::kEnumerate || mode == HomQueryMode::kProject;
+}
+
 // One row of the audited option-compatibility table. Rows are applied in
 // order; each either is a structured error under strict planning
 // (error_in_strict) or a normalization recorded as an adjustment in both
-// modes (mode-driven rows: enumeration is always serial and monolithic,
-// deterministic_witness needs a thread pool to matter).
+// modes (mode-driven rows: enumeration and projection are always serial
+// and monolithic, deterministic_witness needs a thread pool to matter).
 struct ValidationRule {
   bool error_in_strict;
   PlanErrorCode code;  // meaningful only when error_in_strict
@@ -129,15 +136,15 @@ const ValidationRule kValidationTable[] = {
     // default config must stay usable in every mode), they are facts
     // about the mode.
     {false, PlanErrorCode::kCacheWithEnumerate,
-     "enumeration is always serial: num_threads -> 0",
+     "enumeration and projection are always serial: num_threads -> 0",
      [](HomQueryMode mode, const EngineConfig& config) {
-       return mode == HomQueryMode::kEnumerate && config.num_threads > 0;
+       return Streams(mode) && config.num_threads > 0;
      },
      [](EngineConfig& config) { config.num_threads = 0; }},
     {false, PlanErrorCode::kCacheWithEnumerate,
-     "enumeration is always monolithic: factorize -> off",
+     "enumeration and projection are always monolithic: factorize -> off",
      [](HomQueryMode mode, const EngineConfig& config) {
-       return mode == HomQueryMode::kEnumerate && config.factorize;
+       return Streams(mode) && config.factorize;
      },
      [](EngineConfig& config) { config.factorize = false; }},
     {false, PlanErrorCode::kCacheWithEnumerate,
@@ -157,9 +164,9 @@ const ValidationRule kValidationTable[] = {
      [](EngineConfig& config) { config.use_cache = false; }},
     {true, PlanErrorCode::kCacheWithEnumerate,
      "the cache stores has/count answers, never streams: use_cache is "
-     "incompatible with an enumerate query",
+     "incompatible with an enumerate or project query",
      [](HomQueryMode mode, const EngineConfig& config) {
-       return mode == HomQueryMode::kEnumerate && config.use_cache;
+       return Streams(mode) && config.use_cache;
      },
      [](EngineConfig& config) { config.use_cache = false; }},
     {true, PlanErrorCode::kFactorizeWithSurjective,
@@ -228,10 +235,10 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
     }
     HOMPRES_CHECK(a.GetVocabulary() == b.GetVocabulary());
   }
-  if (problem.mode == HomQueryMode::kEnumerate && !problem.callback) {
+  if (Streams(problem.mode) && !problem.callback) {
     if (mode == PlanMode::kStrict) {
       return MakeError(PlanErrorCode::kMissingCallback,
-                       "an enumerate query needs a callback");
+                       "an enumerate or project query needs a callback");
     }
     HOMPRES_CHECK(problem.callback != nullptr);
   }
@@ -304,10 +311,11 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
   }
 
   // Pass 5: parallel subtree split, driven by the source's occurrence
-  // statistics. Enumeration was serialized by the table; an out-of-range
-  // forced pair keeps the query serial (the kernel answers it directly).
+  // statistics. Streaming modes were serialized by the table; an
+  // out-of-range forced pair keeps the query serial (the kernel answers
+  // it directly).
   if (plan.config.num_threads > 0 && plan.forced_in_range &&
-      plan.problem.mode != HomQueryMode::kEnumerate) {
+      !Streams(plan.problem.mode)) {
     const SplitChoice split =
         ChooseSplitElements(a, b, plan.config.forced, plan.config.num_threads);
     if (split.num_tasks >= 2) {
@@ -360,6 +368,14 @@ std::string HomPlan::Explain() const {
   s += HomQueryModeName(problem.mode);
   if (problem.mode == HomQueryMode::kCount) {
     s += " (limit=" + std::to_string(problem.limit) + ")";
+  }
+  if (problem.mode == HomQueryMode::kProject) {
+    s += " (free=[";
+    for (size_t i = 0; i < problem.free.size(); ++i) {
+      if (i > 0) s += ", ";
+      s += std::to_string(problem.free[i]);
+    }
+    s += "])";
   }
   s += "\n  strategy: ";
   s += ExecStrategyName(strategy);

@@ -11,8 +11,8 @@
 //      normalized away with a recorded adjustment (compatibility mode,
 //      used by the legacy HomOptions entry points to preserve their
 //      historical silent behavior). Mode-driven normalizations
-//      (enumeration is always serial and monolithic) are adjustments in
-//      both modes.
+//      (enumeration and projection are always serial and monolithic) are
+//      adjustments in both modes.
 //   2. Forced-pair range check: a pair naming an element outside either
 //      universe makes the query a certain "no"; the plan records it and
 //      the kernel answers without searching.
@@ -22,8 +22,8 @@
 //      deferred for such plans — the miss path re-plans without the
 //      cache — so a cache hit costs no planning work.
 //   4. Gaifman-component factorization: when sound (no surjectivity, no
-//      forced pairs, not enumeration) and the source splits into two or
-//      more components, the plan solves them independently.
+//      forced pairs, not enumeration or projection) and the source splits
+//      into two or more components, the plan solves them independently.
 //   5. Index-statistics-driven ordering + kernel selection: with
 //      num_threads > 0 the split elements are chosen from the source's
 //      occurrence order (engine/ordering.h) and the parallel
@@ -49,10 +49,11 @@ namespace hompres {
 
 enum class PlanErrorCode {
   kVocabularyMismatch,         // source and target vocabularies differ
-  kMissingCallback,            // kEnumerate without a callback
+  kMissingCallback,            // kEnumerate/kProject without a callback
   kLimitOutsideCount,          // limit != 0 on a non-count query
   kCacheWithFind,              // cache stores scalar answers, not witnesses
   kCacheWithEnumerate,         // cache stores scalar answers, not streams
+                               // (enumerate and project queries)
   kFactorizeWithSurjective,    // surjectivity couples the components
   kFactorizeWithForced,        // forced pairs name the unsplit universe
   kIndexWithoutArcConsistency, // the naive kernel never scans

@@ -11,6 +11,7 @@
 #include "base/check.h"
 #include "base/failpoint.h"
 #include "base/row_pool.h"
+#include "base/saturating.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/problem.h"
@@ -79,11 +80,24 @@ class WorkspaceLease {
   std::unique_ptr<SolverWorkspace> ws_;
 };
 
+// One variable's occurrence in a constraint, for the propagation
+// worklist. `changed` is what a shrink of the variable records on the
+// queued constraint: for a binary constraint over two distinct variables
+// the bit of the variable's position (1 << i), so the revision knows
+// which side moved; for every other constraint 1 ("revise everything").
+struct Occurrence {
+  int constraint;
+  uint8_t changed;
+};
+
 class HomSearch {
  public:
   HomSearch(const Structure& a, const Structure& b,
             const KernelOptions& options, Budget& budget)
       : a_(a), b_(b), options_(options), budget_(budget), ws_(lease_.Get()) {
+    n_ = a.UniverseSize();
+    m_ = b.UniverseSize();
+    stride_ = bitset64::PaddedWordsFor(m_);
     size_t max_arity = 0;
     for (int rel = 0; rel < a.GetVocabulary().NumRelations(); ++rel) {
       for (const Tuple& t : a.Tuples(rel)) {
@@ -91,6 +105,7 @@ class HomSearch {
         max_arity = std::max(max_arity, t.size());
       }
     }
+    max_arity_ = static_cast<int>(max_arity);
     if (options_.use_arc_consistency && options_.use_index &&
         !constraints_.empty()) {
       // A failed index build (allocation failure or injected fault)
@@ -98,44 +113,59 @@ class HomSearch {
       // visited per revision.
       index_ = b.TryIndex();
     }
-    n_ = a.UniverseSize();
-    m_ = b.UniverseSize();
-    stride_ = bitset64::PaddedWordsFor(m_);
-    max_arity_ = static_cast<int>(max_arity);
     // Var -> constraints mentioning it (each constraint once), for the
-    // propagation worklist.
-    constraints_of_var_.assign(static_cast<size_t>(n_), {});
+    // propagation worklist; and per constraint its number of distinct
+    // unassigned variables, for the vertex-cover cut-off.
+    occurrences_.assign(static_cast<size_t>(n_), {});
+    unassigned_in_.assign(constraints_.size(), 0);
     for (size_t ci = 0; ci < constraints_.size(); ++ci) {
       const Tuple& pattern = constraints_[ci].pattern;
+      const bool binary = pattern.size() == 2 && pattern[0] != pattern[1];
       for (size_t i = 0; i < pattern.size(); ++i) {
         bool dup = false;
         for (size_t j = 0; j < i; ++j) dup |= pattern[j] == pattern[i];
-        if (!dup) {
-          constraints_of_var_[static_cast<size_t>(pattern[i])].push_back(
-              static_cast<int>(ci));
-        }
+        if (dup) continue;
+        occurrences_[static_cast<size_t>(pattern[i])].push_back(Occurrence{
+            static_cast<int>(ci),
+            static_cast<uint8_t>(binary ? 1u << i : 1u)});
+        ++unassigned_in_[ci];
       }
+      if (unassigned_in_[ci] >= 2) ++uncovered_;
+    }
+    cutoff_ = options_.use_arc_consistency && !options_.surjective &&
+              options_.mode != HomQueryMode::kEnumerate;
+    if (options_.mode == HomQueryMode::kProject) {
+      is_free_.assign(static_cast<size_t>(n_), 0);
+      for (int e : options_.free) {
+        HOMPRES_CHECK(e >= 0 && e < n_);
+        if (is_free_[static_cast<size_t>(e)]) continue;
+        is_free_[static_cast<size_t>(e)] = 1;
+        ++free_unbound_;
+      }
+      answer_.resize(options_.free.size());
     }
   }
 
-  // Runs the search; invokes `emit` for every homomorphism found. `emit`
-  // returns false to stop the enumeration. After Run, the caller
-  // distinguishes "space exhausted" from "budget exhausted" via
-  // budget_.Stopped().
-  void Run(const std::function<bool(const std::vector<int>&)>& emit) {
+  // Runs the search for options.mode, emitting through `emit` (see
+  // kernel.h). Returns the count (kCount) or the number of emits. After
+  // Run, the caller distinguishes "space exhausted" from "budget
+  // exhausted" via budget_.Stopped().
+  uint64_t Run(const std::function<bool(const std::vector<int>&)>& emit) {
+    emit_ = &emit;
     // A pre-assignment referencing an element outside either universe can
     // be satisfied by no map: report "no homomorphism" instead of
     // aborting (and never index past the domain rows).
     for (const auto& [var, val] : options_.forced) {
-      if (var < 0 || var >= n_ || val < 0 || val >= m_) return;
+      if (var < 0 || var >= n_ || val < 0 || val >= m_) return 0;
     }
+    ws_.assignment.assign(static_cast<size_t>(n_), -1);
     if (n_ == 0) {
       // The empty map is the unique homomorphism; surjectivity requires an
       // empty target.
-      if (!options_.surjective || m_ == 0) emit(std::vector<int>{});
-      return;
+      if (!options_.surjective || m_ == 0) EmitComplete();
+      return found_;
     }
-    if (m_ == 0) return;  // nonempty universe cannot map anywhere
+    if (m_ == 0) return 0;  // nonempty universe cannot map anywhere
 
     // Size the workspace for this instance. The outer level vectors are
     // sized once up front: Solve holds references into them across
@@ -162,14 +192,14 @@ class HomSearch {
       uint64_t* row = Row(words, var);
       const bool allowed = bitset64::Test(row, val);
       bitset64::ClearAll(row, stride_);
-      if (!allowed) return;  // conflicting pre-assignments empty the domain
+      if (!allowed) return 0;  // conflicting pre-assignments empty the domain
       bitset64::Set(row, val);
       sizes[static_cast<size_t>(var)] = 1;
     }
-    if (options_.use_arc_consistency && !Propagate(words, sizes)) return;
-    ws_.assignment.assign(static_cast<size_t>(n_), -1);
+    if (options_.use_arc_consistency && !Propagate(words, sizes)) return 0;
     stopped_ = false;
-    Solve(0, words, sizes, emit);
+    Solve(0, words, sizes);
+    return found_;
   }
 
  private:
@@ -205,15 +235,15 @@ class HomSearch {
   //   row(base + v)      = { u : (u, v) in R }   (support for position 0)
   //   row(base + m + u)  = { v : (u, v) in R }   (support for position 1)
   //
-  // A revision of a binary constraint with distinct variables then
-  // computes each side's support set as a union of the other side's
-  // domain rows — whole-row kernel work proportional to |domain| * stride
-  // instead of a scan over all of R's tuples. The union over dom(var1) of
-  // { u : (u, v) in R } is exactly { u : exists v in dom(var1), (u, v) in
-  // R }; intersecting dom(var0) with it equals intersecting with the
-  // tuple scan's marked set (the scan's extra dom(var0) membership test
-  // is absorbed by the intersection), so the propagation fixpoint — and
-  // every answer derived from it — is bit-identical to the scan path.
+  // A revision of one side of a binary constraint with distinct variables
+  // then computes that side's support set from the other side's domain
+  // with whole-row kernel work instead of a scan over all of R's tuples
+  // (see ReviseBinarySide). The union over dom(var1) of { u : (u, v) in R
+  // } is exactly { u : exists v in dom(var1), (u, v) in R }; intersecting
+  // dom(var0) with it equals intersecting with the tuple scan's marked
+  // set (the scan's extra dom(var0) membership test is absorbed by the
+  // intersection), so the propagation fixpoint — and every answer
+  // derived from it — is bit-identical to the scan path.
   //
   // The rows are part of the indexed kernel (use_index): the pure-scan
   // ablation keeps measuring genuine tuple scans. Memory is
@@ -255,23 +285,25 @@ class HomSearch {
   // Returns false if some domain empties.
   //
   // Worklist discipline: a constraint is (re)queued exactly when one of
-  // its variables' domains shrinks; `seed_var >= 0` starts from only the
-  // constraints mentioning that variable (Solve narrows one variable per
-  // level, so everything else is already at fixpoint from the parent
-  // level), `seed_var < 0` starts from every constraint. The revision
+  // its variables' domains shrinks, and records which positions shrank;
+  // `seed_var >= 0` starts from only the constraints mentioning that
+  // variable (Solve narrows one variable per level, so everything else
+  // is already at fixpoint from the parent level), `seed_var < 0` starts
+  // from every constraint with every position marked. The revision
   // operators are monotone and reductive, so chaotic iteration converges
   // to the same greatest fixpoint in any order — the final domains, and
   // every answer derived from them, match the round-robin schedule bit
   // for bit, including the empty-domain (infeasible) verdict.
   //
-  // Binary constraints with distinct variables take the bitwise path
-  // (BuildAdjacency above) when the adjacency rows exist. Otherwise, with
-  // the index enabled, a constraint whose pattern has a singleton-domain
-  // (assigned) position only scans the inverted list of that position's
-  // value — the shortest such list if several positions are assigned.
-  // Every skipped tuple disagrees with a singleton domain, so Compatible
-  // would have rejected it: the support sets, and hence the propagation
-  // fixpoint, are bit-identical to the full scan on every path.
+  // Binary constraints with distinct variables take the one-sided
+  // bitwise path (ReviseBinarySide) when the adjacency rows exist.
+  // Otherwise, with the index enabled, a constraint whose pattern has a
+  // singleton-domain (assigned) position only scans the inverted list of
+  // that position's value — the shortest such list if several positions
+  // are assigned. Every skipped tuple disagrees with a singleton domain,
+  // so Compatible would have rejected it: the support sets, and hence
+  // the propagation fixpoint, are bit-identical to the full scan on
+  // every path.
   bool Propagate(AlignedWordPool& words, std::vector<int>& sizes,
                  int seed_var = -1) {
     uint64_t* supported = ws_.supported.data();
@@ -282,7 +314,7 @@ class HomSearch {
       EnqueueConstraintsOf(seed_var);
     } else {
       for (int ci = num_constraints - 1; ci >= 0; --ci) {
-        ac_queued_[static_cast<size_t>(ci)] = 1;
+        ac_queued_[static_cast<size_t>(ci)] = 3;  // both positions
         ac_queue_.push_back(ci);
       }
     }
@@ -292,16 +324,24 @@ class HomSearch {
       // Clear before revising: a revision that shrinks one of its own
       // variables must requeue itself (its other support sets were
       // computed from the pre-shrink domain).
+      const uint8_t changed = ac_queued_[static_cast<size_t>(ci)];
       ac_queued_[static_cast<size_t>(ci)] = 0;
       const TupleConstraint& c = constraints_[static_cast<size_t>(ci)];
-      // For each position, collect the values that appear in some
-      // compatible B-tuple.
       const int arity = static_cast<int>(c.pattern.size());
       if (arity == 2 && c.pattern[0] != c.pattern[1] &&
           adjacency_base_[static_cast<size_t>(c.rel)] >= 0) {
-        if (!ReviseBinaryBitwise(c, words, sizes)) return false;
+        // The constraint was at fixpoint before position i shrank, so
+        // only the other position can have lost support.
+        if ((changed & 1) && !ReviseBinarySide(c, 1, words, sizes)) {
+          return false;
+        }
+        if ((changed & 2) && !ReviseBinarySide(c, 0, words, sizes)) {
+          return false;
+        }
         continue;
       }
+      // For each position, collect the values that appear in some
+      // compatible B-tuple.
       bitset64::ClearAll(supported, arity * stride_);
       const std::vector<Tuple>& tuples = b_.Tuples(c.rel);
       std::span<const int> narrowed;
@@ -348,53 +388,60 @@ class HomSearch {
   }
 
   void EnqueueConstraintsOf(int var) {
-    for (int ci : constraints_of_var_[static_cast<size_t>(var)]) {
-      if (!ac_queued_[static_cast<size_t>(ci)]) {
-        ac_queued_[static_cast<size_t>(ci)] = 1;
-        ac_queue_.push_back(ci);
-      }
+    for (const Occurrence& occ : occurrences_[static_cast<size_t>(var)]) {
+      uint8_t& queued = ac_queued_[static_cast<size_t>(occ.constraint)];
+      if (queued == 0) ac_queue_.push_back(occ.constraint);
+      queued |= occ.changed;
     }
   }
 
-  // One bitwise revision of a binary distinct-variable constraint: each
-  // side's support set is the union of the adjacency rows selected by the
-  // other side's domain, then intersected into the domain. Equal to the
-  // tuple-scan revision bit for bit (see BuildAdjacency), but all
-  // whole-row kernel work — the unions and intersections vectorize.
-  bool ReviseBinaryBitwise(const TupleConstraint& c, AlignedWordPool& words,
-                           std::vector<int>& sizes) {
+  // Revises position `side` of a binary distinct-variable constraint
+  // against the other position's domain: a value y survives iff some x in
+  // the other domain makes the pair a tuple of R. Two equal ways to
+  // compute that, and the cheaper one runs:
+  //   * the other domain is no larger: union the adjacency rows its
+  //     values select (the first row is a copy, so a singleton — the
+  //     common case during search — is one row op), then intersect;
+  //   * otherwise: keep each y whose reverse adjacency row meets the
+  //     other domain.
+  // Both yield exactly the tuple scan's support set (see BuildAdjacency).
+  bool ReviseBinarySide(const TupleConstraint& c, int side,
+                        AlignedWordPool& words, std::vector<int>& sizes) {
+    const int var = c.pattern[static_cast<size_t>(side)];
+    const int other = c.pattern[static_cast<size_t>(1 - side)];
     const int64_t base = adjacency_base_[static_cast<size_t>(c.rel)];
-    uint64_t* supported = ws_.supported.data();
-    for (int i = 0; i < 2; ++i) {
-      // Support for position i unions the rows indexed by the values
-      // still in the *other* position's domain. The first row is a copy
-      // (saves the clear pass; singleton domains — the common case during
-      // search — finish in one row op).
-      const int other = c.pattern[static_cast<size_t>(1 - i)];
-      const int64_t dir_base = i == 0 ? base : base + m_;
-      uint64_t* sup = supported + i * stride_;
-      const uint64_t* other_row = Row(words, other);
+    // Rows indexed by a value of `other` listing var's supported values,
+    // and rows indexed by a value of `var` listing other's.
+    const int64_t support_base = side == 0 ? base : base + m_;
+    const int64_t reverse_base = side == 0 ? base + m_ : base;
+    uint64_t* row = Row(words, var);
+    const uint64_t* other_row = Row(words, other);
+    int& size = sizes[static_cast<size_t>(var)];
+    if (sizes[static_cast<size_t>(other)] <= size) {
+      uint64_t* sup = ws_.supported.data();
+      // Never empty: an emptied domain aborts the propagation.
       int v = bitset64::FindFirst(other_row, stride_);
-      if (v < 0) {  // unreachable: empty domains abort the propagation
-        bitset64::ClearAll(sup, stride_);
-        continue;
-      }
-      std::memcpy(sup, AdjacencyRow(dir_base, v), RowBytes());
+      std::memcpy(sup, AdjacencyRow(support_base, v), RowBytes());
       for (v = bitset64::FindNext(other_row, stride_, v); v >= 0;
            v = bitset64::FindNext(other_row, stride_, v)) {
-        bitset64::UnionInPlace(sup, AdjacencyRow(dir_base, v), stride_);
+        bitset64::UnionInPlace(sup, AdjacencyRow(support_base, v), stride_);
       }
-    }
-    for (int i = 0; i < 2; ++i) {
-      const int var = c.pattern[static_cast<size_t>(i)];
-      uint64_t* row = Row(words, var);
-      if (bitset64::IntersectInPlace(row, supported + i * stride_,
-                                     stride_)) {
-        sizes[static_cast<size_t>(var)] = bitset64::Popcount(row, stride_);
-        if (sizes[static_cast<size_t>(var)] == 0) return false;
-        EnqueueConstraintsOf(var);
+      if (!bitset64::IntersectInPlace(row, sup, stride_)) return true;
+      size = bitset64::Popcount(row, stride_);
+    } else {
+      const int before = size;
+      for (int y = bitset64::FindFirst(row, stride_); y >= 0;
+           y = bitset64::FindNext(row, stride_, y)) {
+        if (!bitset64::Intersects(AdjacencyRow(reverse_base, y), other_row,
+                                  stride_)) {
+          bitset64::Reset(row, y);
+          --size;
+        }
       }
+      if (size == before) return true;
     }
+    if (size == 0) return false;
+    EnqueueConstraintsOf(var);
     return true;
   }
 
@@ -460,36 +507,178 @@ class HomSearch {
     return missing <= unassigned;
   }
 
-  void Solve(int level, AlignedWordPool& words, std::vector<int>& sizes,
-             const std::function<bool(const std::vector<int>&)>& emit) {
-    if (stopped_) return;
-    if (!budget_.Checkpoint()) {
-      stopped_ = true;
-      return;
-    }
-
-    // Pick the unassigned variable with the smallest domain.
+  // Smallest domain first, ties to the lowest index. A projection picks
+  // among its unbound free elements while any remain.
+  int PickVariable(const std::vector<int>& sizes) const {
     int var = -1;
     int best_size = -1;
     for (int v = 0; v < n_; ++v) {
       if (ws_.assignment[static_cast<size_t>(v)] != -1) continue;
+      if (free_unbound_ > 0 && !is_free_[static_cast<size_t>(v)]) continue;
       const int size = sizes[static_cast<size_t>(v)];
       if (var == -1 || size < best_size) {
         var = v;
         best_size = size;
       }
     }
-    if (var == -1) {
-      // Complete assignment.
-      if (options_.surjective) {
-        bitset64::ClearAll(ws_.covered.data(), stride_);
-        for (int val : ws_.assignment) bitset64::Set(ws_.covered.data(), val);
-        if (bitset64::Popcount(ws_.covered.data(), stride_) != m_) return;
+    return var;
+  }
+
+  // Cover and projection bookkeeping for `var` becoming assigned for the
+  // duration of its value loop (Release undoes it).
+  void Claim(int var) {
+    if (cutoff_) {
+      for (const Occurrence& occ : occurrences_[static_cast<size_t>(var)]) {
+        if (--unassigned_in_[static_cast<size_t>(occ.constraint)] == 1) {
+          --uncovered_;
+        }
       }
-      if (!emit(ws_.assignment)) stopped_ = true;
+    }
+    if (!is_free_.empty() && is_free_[static_cast<size_t>(var)]) {
+      --free_unbound_;
+    }
+  }
+  void Release(int var) {
+    if (cutoff_) {
+      for (const Occurrence& occ : occurrences_[static_cast<size_t>(var)]) {
+        if (unassigned_in_[static_cast<size_t>(occ.constraint)]++ == 1) {
+          ++uncovered_;
+        }
+      }
+    }
+    if (!is_free_.empty() && is_free_[static_cast<size_t>(var)]) {
+      ++free_unbound_;
+    }
+  }
+
+  void Emit(const std::vector<int>& out) {
+    ++found_;
+    if (*emit_ && !(*emit_)(out)) stopped_ = true;
+  }
+
+  // Adds `homs` homomorphisms to the count, stopping once it reaches the
+  // limit (the answer is then exactly the limit).
+  void Tally(uint64_t homs) {
+    found_ = SatAdd(found_, homs);
+    if (options_.limit != 0 && found_ >= options_.limit) {
+      found_ = options_.limit;
+      stopped_ = true;
+    }
+  }
+
+  // The free elements' images as the projected answer tuple.
+  void EmitAnswer() {
+    for (size_t i = 0; i < options_.free.size(); ++i) {
+      answer_[i] =
+          ws_.assignment[static_cast<size_t>(options_.free[i])];
+    }
+    Emit(answer_);
+  }
+
+  // ws_.assignment is a homomorphism — in kProject, its bound part is.
+  void EmitComplete() {
+    switch (options_.mode) {
+      case HomQueryMode::kCount:
+        Tally(1);
+        return;
+      case HomQueryMode::kProject:
+        EmitAnswer();
+        return;
+      case HomQueryMode::kHas:
+      case HomQueryMode::kFind:
+        Emit(ws_.assignment);
+        stopped_ = true;
+        return;
+      case HomQueryMode::kEnumerate:
+        Emit(ws_.assignment);
+        return;
+    }
+  }
+
+  // A complete assignment that passed propagation (or, in the naive
+  // kernel, AssignedConsistent). Returns whether it is a homomorphism of
+  // the requested kind.
+  bool EmitLeaf() {
+    if (options_.surjective) {
+      bitset64::ClearAll(ws_.covered.data(), stride_);
+      for (int val : ws_.assignment) bitset64::Set(ws_.covered.data(), val);
+      if (bitset64::Popcount(ws_.covered.data(), stride_) != m_) return false;
+    }
+    EmitComplete();
+    return true;
+  }
+
+  // The vertex-cover cut-off (kernel.h): the assigned elements cover
+  // every constraint and the domains are arc consistent, so every
+  // combination of the unassigned domains' values is a homomorphism.
+  void EmitCovered(const AlignedWordPool& words,
+                   const std::vector<int>& sizes) {
+    switch (options_.mode) {
+      case HomQueryMode::kCount: {
+        uint64_t product = 1;
+        for (int v = 0; v < n_; ++v) {
+          if (ws_.assignment[static_cast<size_t>(v)] != -1) continue;
+          product = SatMul(product,
+                           static_cast<uint64_t>(sizes[static_cast<size_t>(v)]));
+        }
+        Tally(product);
+        return;
+      }
+      case HomQueryMode::kProject:
+        EmitFreeProduct(words, 0);
+        return;
+      default:  // kHas, kFind: the first leaf below this node
+        for (int v = 0; v < n_; ++v) {
+          int& val = ws_.assignment[static_cast<size_t>(v)];
+          if (val == -1) val = bitset64::FindFirst(Row(words, v), stride_);
+        }
+        EmitComplete();
+        return;
+    }
+  }
+
+  // Emits every binding of the unbound free elements from `from` on,
+  // drawn from their domains, each extended by the bound ones.
+  void EmitFreeProduct(const AlignedWordPool& words, int from) {
+    int var = from;
+    while (var < n_ && (!is_free_[static_cast<size_t>(var)] ||
+                        ws_.assignment[static_cast<size_t>(var)] != -1)) {
+      ++var;
+    }
+    if (var == n_) {
+      EmitAnswer();
       return;
     }
+    const uint64_t* row = Row(words, var);
+    for (int val = bitset64::FindFirst(row, stride_); val >= 0 && !stopped_;
+         val = bitset64::FindNext(row, stride_, val)) {
+      ws_.assignment[static_cast<size_t>(var)] = val;
+      EmitFreeProduct(words, var + 1);
+    }
+    ws_.assignment[static_cast<size_t>(var)] = -1;
+  }
 
+  // One search node. Returns whether the subtree reached a homomorphism.
+  bool Solve(int level, AlignedWordPool& words, std::vector<int>& sizes) {
+    if (stopped_) return false;
+    if (!budget_.Checkpoint()) {
+      stopped_ = true;
+      return false;
+    }
+    if (cutoff_ && uncovered_ == 0) {
+      EmitCovered(words, sizes);
+      return true;
+    }
+    const int var = PickVariable(sizes);
+    if (var == -1) return EmitLeaf();
+
+    // Once every free element is bound, a projection only asks whether
+    // the binding extends: the first homomorphism ends the subtree, and
+    // the search backtracks to the deepest free element.
+    const bool first_only =
+        options_.mode == HomQueryMode::kProject && free_unbound_ == 0;
+    Claim(var);
+    bool found = false;
     // The next level's buffers are fixed for the whole value loop: each
     // candidate overwrites them with a flat copy of this level's domains.
     const uint64_t* row = Row(words, var);
@@ -516,10 +705,12 @@ class HomSearch {
       if (feasible && options_.surjective) {
         feasible = SurjectivityPossible(next_words);
       }
-      if (feasible) Solve(level + 1, next_words, next_sizes, emit);
+      if (feasible) found |= Solve(level + 1, next_words, next_sizes);
       ws_.assignment[static_cast<size_t>(var)] = -1;
-      if (stopped_) return;
+      if (stopped_ || (found && first_only)) break;
     }
+    Release(var);
+    return found;
   }
 
   const Structure& a_;
@@ -531,10 +722,23 @@ class HomSearch {
   // Per-relation first row of the bitwise-AC adjacency pool; -1 when the
   // relation has no binary distinct-variable constraint (or no index).
   std::vector<int64_t> adjacency_base_;
-  // Propagation worklist state (see Propagate).
-  std::vector<std::vector<int>> constraints_of_var_;
+  // Propagation worklist state (see Propagate): per queued constraint,
+  // the positions that shrank since it was queued.
+  std::vector<std::vector<Occurrence>> occurrences_;
   std::vector<int> ac_queue_;
-  std::vector<char> ac_queued_;
+  std::vector<uint8_t> ac_queued_;
+  // Vertex-cover state (kernel.h): distinct unassigned variables per
+  // constraint, and how many constraints still have two or more.
+  bool cutoff_ = false;
+  std::vector<int> unassigned_in_;
+  int uncovered_ = 0;
+  // kProject state: which elements are free, how many distinct ones are
+  // unbound, and the answer buffer.
+  std::vector<char> is_free_;
+  int free_unbound_ = 0;
+  std::vector<int> answer_;
+  const std::function<bool(const std::vector<int>&)>* emit_ = nullptr;
+  uint64_t found_ = 0;  // the count (kCount) or the number of emits
   int n_ = 0;
   int m_ = 0;
   int stride_ = 0;  // words per packed domain row
@@ -546,7 +750,7 @@ class HomSearch {
 
 }  // namespace
 
-void RunSerialHomKernel(
+uint64_t RunSerialHomKernel(
     const Structure& a, const Structure& b, const KernelOptions& options,
     Budget& budget,
     const std::function<bool(const std::vector<int>&)>& emit) {
@@ -559,13 +763,14 @@ void RunSerialHomKernel(
   // "hom/workspace_alloc" degradation rung.
   if (HOMPRES_FAILPOINT("hom/workspace_alloc_hard")) {
     budget.ForceStop(StopReason::kMemory);
-    return;
+    return 0;
   }
   try {
     HomSearch search(a, b, options, budget);
-    search.Run(emit);
+    return search.Run(emit);
   } catch (const std::bad_alloc&) {
     budget.ForceStop(StopReason::kMemory);
+    return 0;
   }
 }
 

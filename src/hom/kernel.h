@@ -4,43 +4,73 @@
 // parallel subtree splitting, result-shape mapping — lives in the engine
 // layer (engine/engine.h). What remains here is the innermost loop: one
 // backtracking search over candidate maps a -> b, with optional AC-3
-// bitset propagation and index-narrowed scans, emitting each total
-// homomorphism it finds.
+// bitset propagation and index-narrowed scans, answering one query mode.
+//
+// One entry point serves every mode (KernelOptions::mode):
+//   kHas, kFind  emit the first homomorphism the search reaches, then stop;
+//   kCount       emit nothing; the return value is the count, clamped at
+//                `limit` (0 = no clamp);
+//   kEnumerate   emit every homomorphism, in search order;
+//   kProject     emit every distinct binding of the `free` elements that
+//                extends to a homomorphism, as the tuple of their images
+//                (repeats in `free` repeat in the tuple). Free elements
+//                are branched on first; once all are bound, one existence
+//                search runs and the search backtracks straight to the
+//                deepest free element, so no binding is emitted twice.
+//
+// Vertex-cover cut-off: with arc consistency on and surjectivity off,
+// every mode except kEnumerate stops descending at a node whose assigned
+// elements cover every constraint (no constraint keeps two distinct
+// unassigned elements). Each remaining domain is then exactly the set of
+// values consistent with the assignment, so every combination of them is
+// a homomorphism: count adds the product of the domain sizes (saturating),
+// has/find take the first value of each domain (the leaf the search would
+// have reached first, so witnesses are unchanged), and a projection emits
+// the product of its unbound free domains.
 //
 // Budget contract: the kernel charges exactly one Budget::Checkpoint()
-// per search node and stops (without emitting further) when the budget
-// runs out. A forced pair naming an element outside either universe is a
-// certain "no": the kernel returns immediately, charging nothing.
+// per visited search node and stops (without emitting further) when the
+// budget runs out. Nodes below a vertex-cover cut-off are not visited, so
+// they charge nothing; kEnumerate visits every node, as it always has. A
+// forced pair naming an element outside either universe is a certain
+// "no": the kernel returns immediately, charging nothing.
 //
-// The emit callback returns whether to continue the enumeration. It is
-// invoked on the kernel's internal assignment buffer; copy it to keep it.
+// The emit callback returns whether to continue. It is invoked on a
+// kernel-internal buffer; copy it to keep it.
 
 #ifndef HOMPRES_HOM_KERNEL_H_
 #define HOMPRES_HOM_KERNEL_H_
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "base/budget.h"
+#include "engine/problem.h"
 #include "structure/structure.h"
 
 namespace hompres {
 
-// The subset of the configuration the serial kernel actually reads.
+// The query and the subset of the configuration the serial kernel reads.
 struct KernelOptions {
+  HomQueryMode mode = HomQueryMode::kEnumerate;
+  uint64_t limit = 0;     // kCount: stop at this many (0 = count all)
+  std::vector<int> free;  // kProject: the projected source elements
   bool surjective = false;
   std::vector<std::pair<int, int>> forced;
   bool use_arc_consistency = true;
   bool use_index = true;
 };
 
-// Runs the serial search, emitting every homomorphism until `emit`
-// returns false or the budget stops. Inspect `budget` afterwards to
-// distinguish exhaustion from a completed enumeration.
-void RunSerialHomKernel(const Structure& a, const Structure& b,
-                        const KernelOptions& options, Budget& budget,
-                        const std::function<bool(const std::vector<int>&)>& emit);
+// Runs the serial search for options.mode. Returns the homomorphism count
+// for kCount (clamped at options.limit) and the number of emitted maps or
+// tuples otherwise. Inspect `budget` afterwards to distinguish exhaustion
+// from a completed search.
+uint64_t RunSerialHomKernel(
+    const Structure& a, const Structure& b, const KernelOptions& options,
+    Budget& budget,
+    const std::function<bool(const std::vector<int>&)>& emit = {});
 
 }  // namespace hompres
 

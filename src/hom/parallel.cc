@@ -7,6 +7,7 @@
 
 #include "base/check.h"
 #include "base/parallel_driver.h"
+#include "base/saturating.h"
 #include "base/thread_pool.h"
 #include "engine/ordering.h"
 #include "structure/relation_index.h"
@@ -197,26 +198,23 @@ Outcome<uint64_t> ParallelCountHomomorphismsBudgeted(
       task_options.forced.insert(task_options.forced.end(),
                                  plan[static_cast<size_t>(i)].begin(),
                                  plan[static_cast<size_t>(i)].end());
-      auto out = EnumerateHomomorphismsBudgeted(
-          a, b, worker,
-          [&](const std::vector<int>&) {
-            const uint64_t now =
-                found.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (limit != 0 && now >= limit) {
-              // The answer is `limit`; stop every subtree.
-              region.CancelAll();
-              return false;
-            }
-            return true;
-          },
-          task_options);
-      // Done(false) means the limit callback stopped the enumeration,
-      // which only happens once the global count reached the limit — a
-      // completed outcome for this driver. The state is task-exclusive:
-      // TaskDone/Join publish it to the joining thread.
+      // Each subtree count is clamped at `limit` on its own: a clamped
+      // subtree already puts the total at or past the limit.
+      auto out = CountHomomorphismsBudgeted(a, b, worker, limit, task_options);
+      // The state is task-exclusive: TaskDone/Join publish it to the
+      // joining thread.
       TaskState& state = states[static_cast<size_t>(i)];
       if (out.IsDone()) {
         state.completed = true;
+        uint64_t total = found.load(std::memory_order_relaxed);
+        while (!found.compare_exchange_weak(total,
+                                            SatAdd(total, out.Value()),
+                                            std::memory_order_relaxed)) {
+        }
+        if (limit != 0 && SatAdd(total, out.Value()) >= limit) {
+          // The answer is `limit`; stop every subtree.
+          region.CancelAll();
+        }
       } else {
         state.stop = out.Report().reason;
       }

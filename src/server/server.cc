@@ -558,6 +558,7 @@ struct Server::Impl {
           response.Set("count", JsonValue::Uint(result.count));
           break;
         case HomQueryMode::kEnumerate:
+        case HomQueryMode::kProject:  // no hom op plans one; it streams too
           response.Set("witnesses", TupleListJson(witnesses));
           response.Set("enumeration_completed",
                        JsonValue::Bool(result.enumeration_completed));

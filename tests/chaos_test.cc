@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,8 @@
 #include "engine/plan.h"
 #include "engine/problem.h"
 #include "fo/parser.h"
+#include "graph/builders.h"
+#include "graph/graph.h"
 #include "hom/hom_cache.h"
 #include "hom/homomorphism.h"
 #include "hom/parallel.h"
@@ -868,6 +871,25 @@ class ServerChaosTest : public ChaosTest {
     return request;
   }
 
+  // Structure text of an undirected graph (each edge both ways).
+  static std::string GraphText(const Graph& g) {
+    std::string text = "|A|=";
+    text += std::to_string(g.NumVertices());
+    text += "; E={";
+    for (const auto& [u, v] : g.Edges()) {
+      for (const auto& [x, y] : {std::pair(u, v), std::pair(v, u)}) {
+        if (text.back() != '{') text += ',';
+        text += '(';
+        text += std::to_string(x);
+        text += ' ';
+        text += std::to_string(y);
+        text += ')';
+      }
+    }
+    text += '}';
+    return text;
+  }
+
   static void ExpectPingOk(Client& client, int64_t id,
                            const char* context) {
     std::string error;
@@ -989,13 +1011,21 @@ TEST_F(ServerChaosTest, BatchBuildFaultDegradesWithoutPoisoningTheBatch) {
   // Every multi-request batch loses its shared index build.
   ASSERT_TRUE(registry.Arm("server/batch_build", "always"));
 
-  // A heavier count holds the single worker while the pipeline queues
-  // up behind it into real batches.
-  const std::string heavy_source =
-      "|A|=7; E={(0 1),(1 2),(2 3),(3 4),(4 5),(5 6),(6 0),(0 3),(2 5)}";
+  // A held request occupies the single worker while the pipeline queues
+  // up behind it into real batches. It must stay slow however the
+  // kernel improves: the 23-vertex Mycielski graph (chromatic number 5)
+  // has no 4-colouring, so the search visits its whole tree (5633 nodes,
+  // about 15 ms in a Release build on a 4-vCPU x86-64 host) and never
+  // reaches a homomorphism the vertex-cover cut-off could stop at.
+  Graph mycielski = CompleteGraph(2);
+  for (int level = 0; level < 3; ++level) {
+    mycielski = MycielskiGraph(mycielski);
+  }
+  const std::string held_source = GraphText(mycielski);
+  const std::string held_target = GraphText(CompleteGraph(4));
   constexpr int kPipelined = 16;
   ASSERT_TRUE(client.SendPayload(
-      HomRequest(100, "hom_count", heavy_source, "@t").Serialize()));
+      HomRequest(100, "hom_has", held_source, held_target).Serialize()));
   for (int i = 1; i <= kPipelined; ++i) {
     ASSERT_TRUE(client.SendPayload(
         HomRequest(100 + i, "hom_has", kEdge, "@t").Serialize()));

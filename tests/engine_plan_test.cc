@@ -5,6 +5,7 @@
 // budget steps; an out-of-range forced pair is a certain "no" without
 // search).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -205,6 +206,126 @@ TEST(EnginePlan, ModeDrivenNormalizationsApplyEvenInStrictMode) {
   ASSERT_TRUE(det_planned.plan.has_value());
   EXPECT_FALSE(det_planned.plan->config.deterministic_witness);
   EXPECT_EQ(det_planned.plan->adjustments.size(), 1u);
+}
+
+// A projection plans like an enumeration: the same strict errors, and
+// serial, monolithic and uncached even where a has query would factorize.
+TEST(EnginePlan, ProjectPlansLikeEnumerate) {
+  const Structure a = TwoEdges();
+  const Structure b = Triangle();
+  HomProblem problem = MakeProblem(a, b, HomQueryMode::kProject);
+  problem.free = {0, 3, 0};
+  {
+    const PlanResult planned =
+        PlanHomQuery(problem, EngineConfig{}, PlanMode::kStrict);
+    ASSERT_TRUE(planned.error.has_value());
+    EXPECT_EQ(static_cast<int>(planned.error->code),
+              static_cast<int>(PlanErrorCode::kMissingCallback));
+  }
+  std::vector<std::vector<int>> answers;
+  problem.callback = [&](const std::vector<int>& answer) {
+    answers.push_back(answer);
+    return true;
+  };
+  {
+    EngineConfig cached;
+    cached.use_cache = true;
+    const PlanResult planned = PlanHomQuery(problem, cached, PlanMode::kStrict);
+    ASSERT_TRUE(planned.error.has_value());
+    EXPECT_EQ(static_cast<int>(planned.error->code),
+              static_cast<int>(PlanErrorCode::kCacheWithEnumerate));
+  }
+  EngineConfig config;
+  config.num_threads = 4;
+  const PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
+  ASSERT_TRUE(planned.plan.has_value());
+  const HomPlan& plan = *planned.plan;
+  EXPECT_EQ(plan.config.num_threads, 0);
+  EXPECT_FALSE(plan.config.factorize);
+  EXPECT_EQ(plan.adjustments.size(), 2u);
+  EXPECT_FALSE(plan.consult_cache);
+  EXPECT_EQ(static_cast<int>(plan.strategy),
+            static_cast<int>(ExecStrategy::kSerial));
+  EXPECT_NE(plan.Explain().find("  mode: project (free=[0, 3, 0])\n"),
+            std::string::npos)
+      << plan.Explain();
+  EXPECT_EQ(plan.Summary().rfind("mode=project strategy=serial", 0), 0u);
+
+  // Each binding of the free elements that extends is emitted once, as
+  // the tuple of its images (element 0 repeated). Every triangle vertex
+  // has an out-edge (for 0) and an in-edge (for 3): all nine extend.
+  Budget budget = Budget::Unlimited();
+  const auto out = Engine::Execute(plan, budget);
+  ASSERT_TRUE(out.IsDone());
+  EXPECT_TRUE(out.Value().enumeration_completed);
+  std::sort(answers.begin(), answers.end());
+  std::vector<std::vector<int>> expected;
+  for (int x = 0; x < 3; ++x) {
+    for (int y = 0; y < 3; ++y) expected.push_back({x, y, x});
+  }
+  EXPECT_EQ(answers, expected);
+}
+
+// The vertex-cover cut-off charges only the nodes it visits. Source: a
+// star, centre 0 with edges to 1, 2, 3. Target: a star, centre 0 with
+// edges to 1..4. After AC the centre's domain is {0} and each leaf's is
+// {1..4}, so the centre is assigned first and its one child covers every
+// edge: 4^3 = 64 maps from 2 nodes, where enumeration walks all
+// 1 + 1 + 4 + 16 + 64 = 86.
+TEST(EngineExecution, VertexCoverCutOffChargesOnlyVisitedNodes) {
+  Structure star(GraphVocabulary(), 4);
+  for (int leaf = 1; leaf <= 3; ++leaf) star.AddTuple(0, {0, leaf});
+  Structure target(GraphVocabulary(), 5);
+  for (int leaf = 1; leaf <= 4; ++leaf) target.AddTuple(0, {0, leaf});
+
+  Budget count_budget = Budget::Unlimited();
+  EXPECT_EQ(Engine::Count(star, target, count_budget, 0).Value(), 64u);
+  EXPECT_EQ(count_budget.Report().steps_used, 2u);
+
+  // The first leaf below the cut-off: every domain's first value.
+  Budget find_budget = Budget::Unlimited();
+  EXPECT_EQ(Engine::Find(star, target, find_budget).Value(),
+            std::optional<std::vector<int>>({0, 1, 1, 1}));
+  EXPECT_EQ(find_budget.Report().steps_used, 2u);
+
+  // A limit the product overshoots clamps the count.
+  Budget limit_budget = Budget::Unlimited();
+  EXPECT_EQ(Engine::Count(star, target, limit_budget, 10).Value(), 10u);
+
+  // Enumeration visits every map: nothing is cut.
+  Budget enum_budget = Budget::Unlimited();
+  int maps = 0;
+  Engine::Enumerate(star, target, enum_budget, [&](const std::vector<int>&) {
+    ++maps;
+    return true;
+  });
+  EXPECT_EQ(maps, 64);
+  EXPECT_EQ(enum_budget.Report().steps_used, 86u);
+
+  // Projecting onto leaf 1 branches on it first (root + 4 children);
+  // each binding then needs one more node, the centre, to reach a cover.
+  Budget project_budget = Budget::Unlimited();
+  std::vector<std::vector<int>> answers;
+  Engine::Project(star, target, project_budget, {1},
+                  [&](const std::vector<int>& answer) {
+                    answers.push_back(answer);
+                    return true;
+                  });
+  EXPECT_EQ(answers, (std::vector<std::vector<int>>{{1}, {2}, {3}, {4}}));
+  EXPECT_EQ(project_budget.Report().steps_used, 9u);
+
+  // Projecting onto the centre and a leaf: binding the centre (the
+  // smaller domain) already covers every edge, so its node is a cut-off
+  // that emits the leaf's four values.
+  Budget pair_budget = Budget::Unlimited();
+  answers.clear();
+  Engine::Project(star, target, pair_budget, {0, 2},
+                  [&](const std::vector<int>& answer) {
+                    answers.push_back(answer);
+                    return true;
+                  });
+  EXPECT_EQ(answers.size(), 4u);
+  EXPECT_EQ(pair_budget.Report().steps_used, 2u);
 }
 
 TEST(EnginePlan, CompatModeNormalizesAndRecordsAdjustments) {
@@ -420,11 +541,13 @@ TEST(EngineExecution, EveryModeSurfacesEveryStopReason) {
 
   for (const HomQueryMode mode :
        {HomQueryMode::kHas, HomQueryMode::kFind, HomQueryMode::kCount,
-        HomQueryMode::kEnumerate}) {
+        HomQueryMode::kEnumerate, HomQueryMode::kProject}) {
     for (const auto& row : configs) {
       HomProblem problem = MakeProblem(a, b, mode);
-      if (mode == HomQueryMode::kEnumerate) {
+      if (mode == HomQueryMode::kEnumerate ||
+          mode == HomQueryMode::kProject) {
         problem.callback = [](const std::vector<int>&) { return true; };
+        problem.free = {0, 2};
       }
       const PlanResult planned =
           PlanHomQuery(problem, row.config, PlanMode::kCompat);
@@ -494,10 +617,21 @@ TEST(EngineNullary, MissingNullaryTupleRulesOutEveryMap) {
                                 })
                   .Value());
   EXPECT_EQ(maps, 0);
+  const auto count_answers = [&] {
+    int answers = 0;
+    Engine::Project(source, target, budget, {0},
+                    [&](const std::vector<int>&) {
+                      ++answers;
+                      return true;
+                    });
+    return answers;
+  };
+  EXPECT_EQ(count_answers(), 0);
   // With the tuple present in the target, both elements are images.
   target.AddTuple(0, {});
   EXPECT_TRUE(Engine::Has(source, target, budget).Value());
   EXPECT_EQ(Engine::Count(source, target, budget, 0).Value(), 2u);
+  EXPECT_EQ(count_answers(), 2);
   // The empty source (universe 0) too.
   Structure bare(voc, 0);
   bare.AddTuple(0, {});

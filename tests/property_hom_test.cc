@@ -14,9 +14,11 @@
 // HOMPRES_TEST_SEED environment variable overrides it, which the CI soak
 // job uses to sweep fresh seeds nightly.
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -554,6 +556,322 @@ TEST(PropertyHom, DispatchedSimdMatchesForcedScalarExactly) {
         << "count divergence; " << where;
     if (dispatched.has_value()) {
       ASSERT_TRUE(CheckIsHomomorphism(a, b, *dispatched)) << where;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The kernel's search shortcuts: the vertex-cover cut-off (count, has,
+// find and project stop descending once the assigned elements cover
+// every constraint), one-sided bitwise arc revisions, and the projection
+// mode. Each is checked against an oracle that takes none of them.
+// ---------------------------------------------------------------------
+
+Vocabulary NullaryMixedVocabulary() {
+  Vocabulary voc;
+  voc.AddRelation("P", 0);
+  voc.AddRelation("U", 1);
+  voc.AddRelation("E", 2);
+  voc.AddRelation("T", 3);
+  return voc;
+}
+
+struct ShortcutVariant {
+  std::string name;
+  EngineConfig config;
+};
+
+// The serial configurations the shortcuts must agree across: the AC
+// kernel with and without the index (the scan path revises both sides
+// of every constraint), and the naive kernel (no cut-off at all).
+std::vector<ShortcutVariant> ShortcutVariants() {
+  std::vector<ShortcutVariant> variants(3);
+  variants[0].name = "ac";
+  variants[1].name = "ac_noindex";
+  variants[1].config.use_index = false;
+  variants[2].name = "naive";
+  variants[2].config.use_arc_consistency = false;
+  variants[2].config.use_index = false;
+  return variants;
+}
+
+// The projection oracle: every homomorphism, projected onto `free`,
+// sorted and deduplicated — the pre-projection-mode evaluation path.
+std::vector<std::vector<int>> EnumerateProjectOracle(
+    const Structure& a, const Structure& b, const std::vector<int>& free,
+    const EngineConfig& config) {
+  std::vector<std::vector<int>> answers;
+  Budget unlimited = Budget::Unlimited();
+  PlanEngine::Enumerate(
+      a, b, unlimited,
+      [&](const std::vector<int>& h) {
+        std::vector<int> answer;
+        for (int e : free) answer.push_back(h[static_cast<size_t>(e)]);
+        answers.push_back(std::move(answer));
+        return true;
+      },
+      config);
+  std::sort(answers.begin(), answers.end());
+  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
+  return answers;
+}
+
+// Runs the projection mode under `budget`; nullopt when it stopped
+// short. The answers come back in emission order.
+std::optional<std::vector<std::vector<int>>> Project(
+    const Structure& a, const Structure& b, const std::vector<int>& free,
+    const EngineConfig& config, Budget& budget) {
+  std::vector<std::vector<int>> answers;
+  const auto out = PlanEngine::Project(
+      a, b, budget, free,
+      [&](const std::vector<int>& answer) {
+        answers.push_back(answer);
+        return true;
+      },
+      config);
+  if (!out.IsDone()) return std::nullopt;
+  return answers;
+}
+
+// A random free-element list over `a`: possibly empty (a Boolean query),
+// with repeats.
+std::vector<int> RandomFree(const Structure& a, Rng& rng) {
+  std::vector<int> free;
+  const int arity = rng.UniformInt(0, 3);
+  for (int i = 0; i < arity; ++i) {
+    free.push_back(rng.UniformInt(0, a.UniverseSize() - 1));
+  }
+  return free;
+}
+
+TEST(PropertyHom, ProjectionMatchesEnumerateProjectOracle) {
+  const uint64_t seed = TestSeed() ^ 0x3C6EF372FE94F82BULL;
+  Rng rng(seed);
+  const Vocabulary voc = NullaryMixedVocabulary();
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = rng.UniformInt(1, 5);
+    const int m = rng.UniformInt(1, 6);
+    Structure a = RandomStructure(voc, n, rng.UniformInt(0, n + 2), rng);
+    const Structure b =
+        RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
+    // An isolated element ranges over the whole target.
+    if (trial % 4 == 0) a.AddElement();
+    std::vector<int> free = RandomFree(a, rng);
+    if (trial % 4 == 0) free.push_back(a.UniverseSize() - 1);
+    std::vector<std::pair<int, int>> forced;
+    if (trial % 5 == 0) {
+      forced.emplace_back(rng.UniformInt(0, a.UniverseSize() - 1),
+                          rng.UniformInt(0, m - 1));
+    }
+    for (const ShortcutVariant& variant : ShortcutVariants()) {
+      EngineConfig config = variant.config;
+      config.forced = forced;
+      const std::string where = "variant '" + variant.name + "'; seed " +
+                                std::to_string(seed) + " trial " +
+                                std::to_string(trial) + "\na: " +
+                                a.DebugString() + "\nb: " + b.DebugString();
+      Budget unlimited = Budget::Unlimited();
+      auto got = Project(a, b, free, config, unlimited);
+      ASSERT_TRUE(got.has_value()) << where;
+      std::vector<std::vector<int>> sorted = *got;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                  sorted.end())
+          << "an answer was emitted twice; " << where;
+      ASSERT_EQ(sorted, EnumerateProjectOracle(a, b, free, config))
+          << "projected answers diverge from the oracle; " << where;
+    }
+  }
+}
+
+// Counts under the cut-off against the naive kernel (which never cuts):
+// tree-shaped sources into larger targets give products well above 1,
+// so the limits fall inside products the cut-off adds in one step and
+// the clamp must cut them short.
+TEST(PropertyHom, CoverCutOffCountsMatchNaiveKernel) {
+  const uint64_t seed = TestSeed() ^ 0x1F83D9ABFB41BD6BULL;
+  Rng rng(seed);
+  const Vocabulary voc = GraphVocabulary();
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = rng.UniformInt(1, 6);
+    const int m = rng.UniformInt(1, 7);
+    // A random tree (parent edges in either direction), plus a loop now
+    // and then.
+    Structure a(voc, n);
+    for (int v = 1; v < n; ++v) {
+      const int parent = rng.UniformInt(0, v - 1);
+      if (rng.UniformInt(0, 1) == 0) {
+        a.AddTuple(0, {parent, v});
+      } else {
+        a.AddTuple(0, {v, parent});
+      }
+    }
+    if (trial % 6 == 0) {
+      const int e = rng.UniformInt(0, n - 1);
+      a.AddTuple(0, {e, e});
+    }
+    const Structure b = RandomStructure(voc, m, rng.UniformInt(m, 4 * m), rng);
+    const bool surjective = trial % 5 == 0;
+    const std::string where = "seed " + std::to_string(seed) + " trial " +
+                              std::to_string(trial) + "\na: " +
+                              a.DebugString() + "\nb: " + b.DebugString();
+    HomOptions naive;
+    naive.use_arc_consistency = false;
+    naive.use_index = false;
+    naive.surjective = surjective;
+    const uint64_t expected = CountHomomorphisms(a, b, /*limit=*/0, naive);
+    std::vector<uint64_t> limits = {0, 1, expected + 1};
+    for (uint64_t limit = 2; limit <= expected && limit <= 12; ++limit) {
+      limits.push_back(limit);
+    }
+    for (int i = 0; i < 3 && expected > 12; ++i) {
+      limits.push_back(13 + rng.Uniform(expected - 12));
+    }
+    for (const Engine& engine : AllEngines()) {
+      HomOptions options = engine.options;
+      options.surjective = surjective;
+      // The parallel drivers start a thread pool per count: they take no
+      // limit and one drawn from the sweep.
+      const std::vector<uint64_t> parallel_limits = {
+          0, limits[rng.Uniform(limits.size())]};
+      for (const uint64_t limit :
+           options.num_threads > 0 ? parallel_limits : limits) {
+        const uint64_t want =
+            limit == 0 ? expected : std::min(expected, limit);
+        ASSERT_EQ(CountHomomorphisms(a, b, limit, options), want)
+            << "engine '" << engine.name << "' at limit " << limit << "; "
+            << where;
+      }
+    }
+  }
+}
+
+// The cut-off takes the first value of every remaining domain, which is
+// the leaf the search reaches first: a find witness must be the first
+// map the (never-cut) enumeration emits, in every serial configuration.
+TEST(PropertyHom, FindWitnessIsTheFirstEnumeratedMap) {
+  const uint64_t seed = TestSeed() ^ 0x5BE0CD19137E2179ULL;
+  Rng rng(seed);
+  const Vocabulary voc = MixedVocabulary();
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = rng.UniformInt(1, 5);
+    const int m = rng.UniformInt(1, 6);
+    Structure a = RandomStructure(voc, n, rng.UniformInt(0, n + 3), rng);
+    if (trial % 5 == 0) a.AddElement();
+    const Structure b =
+        RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
+    for (ShortcutVariant variant : ShortcutVariants()) {
+      EngineConfig& config = variant.config;
+      config.factorize = false;  // enumeration is monolithic
+      if (trial % 3 == 0) {
+        config.forced.emplace_back(rng.UniformInt(0, a.UniverseSize() - 1),
+                                   rng.UniformInt(0, m - 1));
+      }
+      config.surjective = trial % 7 == 0;
+      std::optional<std::vector<int>> first;
+      Budget enum_budget = Budget::Unlimited();
+      PlanEngine::Enumerate(
+          a, b, enum_budget,
+          [&](const std::vector<int>& h) {
+            first = h;
+            return false;
+          },
+          config);
+      Budget find_budget = Budget::Unlimited();
+      ASSERT_EQ(PlanEngine::Find(a, b, find_budget, config).Value(), first)
+          << "variant '" << variant.name << "'; seed " << seed << " trial "
+          << trial << "\na: " << a.DebugString()
+          << "\nb: " << b.DebugString();
+    }
+  }
+}
+
+// The unique arc-consistent fixpoint makes every node's domains
+// identical whichever revision path reached them, so the indexed kernel
+// (one-sided bitwise revisions) and the scan kernel (full revisions)
+// visit exactly the same nodes in every mode. A revision that keeps an
+// unsupported value shows up here as a different node count — often
+// only there, because a later revision from an assigned element prunes
+// the value before it can change an answer.
+TEST(PropertyHom, IndexedAndScanKernelsVisitTheSameNodes) {
+  const uint64_t seed = TestSeed() ^ 0xBB67AE8584CAA73BULL;
+  Rng rng(seed);
+  const Vocabulary voc = GraphVocabulary();
+  EngineConfig scan;
+  scan.use_index = false;
+  for (int trial = 0; trial < 800; ++trial) {
+    const int n = rng.UniformInt(2, 7);
+    const int m = rng.UniformInt(3, 12);
+    const Structure a =
+        RandomStructure(voc, n, rng.UniformInt(n - 1, 2 * n), rng);
+    const Structure b = RandomStructure(voc, m, rng.UniformInt(m, 2 * m), rng);
+    const std::vector<int> free = RandomFree(a, rng);
+    const auto steps = [&](const EngineConfig& config) {
+      Budget count_run = Budget::Unlimited();
+      (void)PlanEngine::Count(a, b, count_run, /*limit=*/0, config);
+      Budget find_run = Budget::Unlimited();
+      (void)PlanEngine::Find(a, b, find_run, config);
+      Budget project_run = Budget::Unlimited();
+      (void)Project(a, b, free, config, project_run);
+      return std::vector<uint64_t>{count_run.Report().steps_used,
+                                   find_run.Report().steps_used,
+                                   project_run.Report().steps_used};
+    };
+    ASSERT_EQ(steps(EngineConfig{}), steps(scan))
+        << "node counts (count, find, project) differ; seed " << seed
+        << " trial " << trial << "\na: " << a.DebugString()
+        << "\nb: " << b.DebugString();
+  }
+}
+
+// Step-capped runs: across a range of caps, count, find and project
+// either finish with exactly the uncapped answer or stop short — a cap
+// never turns into a wrong Done.
+TEST(PropertyHom, StepCappedShortcutsAreDoneAndExactOrStoppedShort) {
+  const uint64_t seed = TestSeed() ^ 0x6A09E667F3BCC908ULL;
+  Rng rng(seed);
+  const Vocabulary voc = GraphVocabulary();
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = rng.UniformInt(2, 6);
+    const int m = rng.UniformInt(3, 8);
+    const Structure a = RandomStructure(voc, n, rng.UniformInt(n - 1, 2 * n),
+                                        rng);
+    const Structure b = RandomStructure(voc, m, rng.UniformInt(m, 4 * m), rng);
+    const std::vector<int> free = RandomFree(a, rng);
+    const uint64_t limit = static_cast<uint64_t>(rng.UniformInt(0, 6));
+    const std::string where = "seed " + std::to_string(seed) + " trial " +
+                              std::to_string(trial) + "\na: " +
+                              a.DebugString() + "\nb: " + b.DebugString();
+    for (const ShortcutVariant& variant : ShortcutVariants()) {
+      const EngineConfig& config = variant.config;
+      Budget unlimited = Budget::Unlimited();
+      const uint64_t want_count =
+          PlanEngine::Count(a, b, unlimited, limit, config).Value();
+      const auto want_witness = PlanEngine::Find(a, b, unlimited, config)
+                                    .Value();
+      auto want_answers = Project(a, b, free, config, unlimited);
+      ASSERT_TRUE(want_answers.has_value());
+      std::sort(want_answers->begin(), want_answers->end());
+      for (uint64_t cap = 1; cap <= 40; ++cap) {
+        const std::string at = "variant '" + variant.name + "' cap " +
+                               std::to_string(cap) + "; " + where;
+        Budget count_budget = Budget::MaxSteps(cap);
+        const auto count = PlanEngine::Count(a, b, count_budget, limit, config);
+        if (count.IsDone()) {
+          ASSERT_EQ(count.Value(), want_count) << at;
+        }
+        Budget find_budget = Budget::MaxSteps(cap);
+        const auto witness = PlanEngine::Find(a, b, find_budget, config);
+        if (witness.IsDone()) {
+          ASSERT_EQ(witness.Value(), want_witness) << at;
+        }
+        Budget project_budget = Budget::MaxSteps(cap);
+        auto answers = Project(a, b, free, config, project_budget);
+        if (answers.has_value()) {
+          std::sort(answers->begin(), answers->end());
+          ASSERT_EQ(*answers, *want_answers) << at;
+        }
+      }
     }
   }
 }

@@ -207,6 +207,9 @@ void ExpectSameAnswer(const JsonValue& response, const DirectAnswer& direct,
       EXPECT_EQ(response.Find("truncated")->AsBool(), direct.truncated)
           << context;
       break;
+    case HomQueryMode::kProject:
+      ADD_FAILURE() << "no hom op plans a projection; " << context;
+      break;
   }
 }
 
