@@ -9,8 +9,11 @@
 
 #include "core/classes.h"
 #include "core/minimal_models.h"
+#include "core/preservation.h"
 #include "cq/cq.h"
+#include "fo/parser.h"
 #include "structure/generators.h"
+#include "structure/vocabulary.h"
 
 namespace hompres {
 namespace {
@@ -76,6 +79,32 @@ void BM_MinimalModelsRestrictedClass(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MinimalModelsRestrictedClass)->Arg(2)->Arg(3)->Arg(4);
+
+void BM_PreservationPipelineUniverse4(benchmark::State& state) {
+  // The brute-force direction at search and verify universe 4 over the
+  // graph vocabulary: 65 536 masks at level 4 but 3 044 isomorphism
+  // classes, each judged once (DESIGN.md §4.11). Arg 0 = all structures,
+  // arg 1 = treewidth < 2.
+  const StructureClass c =
+      state.range(0) == 0 ? AllStructuresClass() : BoundedTreewidthClass(2);
+  const FormulaPtr path =
+      *ParseFormula("exists x exists y exists z (E(x,y) & E(y,z))");
+  PreservationResult result{.equivalent_ucq = UnionOfCq({}, 0)};
+  for (auto _ : state) {
+    result = PreservationPipeline(path, GraphVocabulary(), c,
+                                  /*search_universe=*/4,
+                                  /*verify_universe=*/4);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["models"] =
+      static_cast<double>(result.minimal_models.size());
+  state.counters["verified"] = result.verified ? 1.0 : 0.0;
+}
+
+BENCHMARK(BM_PreservationPipelineUniverse4)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hompres

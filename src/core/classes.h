@@ -17,6 +17,12 @@
 
 namespace hompres {
 
+// `contains` must be deterministic and closed under isomorphism: a
+// structure isomorphic to a member is a member. The structure space
+// (core/structure_space.h) asks it once per isomorphism class and
+// applies the answer to the whole class. Every stock class below is
+// defined by an isomorphism-invariant quantity (degree, treewidth,
+// minors, the core up to isomorphism).
 struct StructureClass {
   std::string name;
   std::function<bool(const Structure&)> contains;

@@ -8,7 +8,6 @@
 #include "base/subsets.h"
 #include "core/structure_space.h"
 #include "fo/eval.h"
-#include "structure/isomorphism.h"
 
 namespace hompres {
 
@@ -25,19 +24,17 @@ bool IsExtensionMinimalModel(const BooleanQuery& q, const Structure& a,
 namespace {
 
 // The extension-minimal models in `space` up to `max_universe` elements,
-// deduplicated up to isomorphism.
+// one per isomorphism class: each is judged at the canonical mask of its
+// orbit, the first member the scan visits.
 std::vector<Structure> ExtensionMinimalModels(StructureSpace& space,
                                               int max_universe) {
   std::vector<Structure> models;
   Budget unlimited = Budget::Unlimited();
   (void)space.ForEachInClass(
       max_universe, unlimited, [&](int n, uint64_t mask) {
-        if (!space.IsExtensionMinimal(n, mask)) return true;
-        const Structure& a = space.At(n, mask);
-        for (const Structure& seen : models) {
-          if (AreIsomorphic(seen, a)) return true;
+        if (space.IsCanonical(n, mask) && space.IsExtensionMinimal(n, mask)) {
+          models.push_back(space.At(n, mask));
         }
-        models.push_back(a);
         return true;
       });
   return models;
@@ -122,10 +119,12 @@ ExtensionPreservationResult ExtensionPreservationPipeline(
         ExistentialSentenceFromModels(result.minimal_models);
     existential.emplace(result.equivalent_existential, vocabulary);
   }
+  // Both sides are isomorphism-invariant: one comparison per orbit.
   bool all_agree = true;
   Budget unlimited = Budget::Unlimited();
   (void)space.ForEachInClass(
       verify_universe, unlimited, [&](int n, uint64_t mask) {
+        if (!space.IsCanonical(n, mask)) return true;
         const bool by_query = space.Satisfies(n, mask);
         all_agree = by_query == (existential.has_value() &&
                                  existential->Evaluate(space.At(n, mask)));

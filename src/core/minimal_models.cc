@@ -224,11 +224,11 @@ Outcome<std::vector<Structure>> MinimalModelsBySearchBudgeted(
         if (!space.Satisfies(n, mask)) return true;
         auto minimal = space.IsMinimal(n, mask, budget);
         if (!minimal.IsDone()) return false;
-        if (!minimal.Value()) return true;
+        // One model per isomorphism class: the canonical mask is the
+        // first member of its orbit the scan visits, and minimality is
+        // the same at every member.
+        if (!minimal.Value() || !space.IsCanonical(n, mask)) return true;
         const Structure& a = space.At(n, mask);
-        for (const Structure& seen : models) {
-          if (AreIsomorphic(seen, a)) return true;
-        }
         models.push_back(a);
         if (partial != nullptr) partial->push_back(a);
         return true;

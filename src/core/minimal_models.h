@@ -24,10 +24,11 @@
 namespace hompres {
 
 // An abstract Boolean query. Isomorphism invariance and determinism are
-// the caller's responsibility: the brute-force search may evaluate q
-// once per structure and reuse the answer (see core/structure_space.h),
-// so q must give the same answer every time it is asked about the same
-// structure.
+// the caller's responsibility: the brute-force search evaluates q once
+// per isomorphism class, on the class's canonical structure, and reuses
+// that answer for every isomorphic structure (see
+// core/structure_space.h). So q must give the same answer on isomorphic
+// structures and every time it is asked about the same one.
 using BooleanQuery = std::function<bool(const Structure&)>;
 
 class StructureSpace;
@@ -89,7 +90,8 @@ Outcome<bool> ForEachStructureInClassBudgeted(
 
 // Brute-force minimal models of an arbitrary Boolean query q (e.g. an FO
 // sentence under evaluation) within C, scanning all structures up to
-// `max_universe` elements and deduplicating up to isomorphism. This is
+// `max_universe` elements and keeping one per isomorphism class (the
+// first one the scan visits). This is
 // the paper's effective procedure with the astronomic size bound replaced
 // by an explicit search cap.
 std::vector<Structure> MinimalModelsBySearch(const BooleanQuery& q,

@@ -1,6 +1,9 @@
 #include "core/structure_space.h"
 
+#include <algorithm>
 #include <bit>
+#include <functional>
+#include <numeric>
 #include <utility>
 
 #include "base/check.h"
@@ -10,11 +13,14 @@ namespace hompres {
 
 namespace {
 
-// Memo byte layout: one "known" and one "value" bit per answer.
+// Memo byte layout: one "known" and one "value" bit per answer, the
+// answers being class membership, q, and whether the mask is canonical.
 constexpr uint8_t kClassKnown = 1;
 constexpr uint8_t kInClass = 2;
 constexpr uint8_t kQueryKnown = 4;
 constexpr uint8_t kSatisfies = 8;
+constexpr uint8_t kOrbitKnown = 16;
+constexpr uint8_t kCanonical = 32;
 
 // The bit of (rel, tuple) in level n's tuple space.
 int TupleBit(const Vocabulary& vocabulary, int n, int rel,
@@ -30,6 +36,17 @@ int TupleBit(const Vocabulary& vocabulary, int n, int rel,
   return bit + rank;
 }
 
+// The number of permutations of {0, ..., n-1} when it is at most the
+// 2^bits masks of a level, else 0 (the level keeps the per-mask memo).
+size_t OrbitPermutations(int n, size_t bits) {
+  size_t permutations = 1;
+  for (int i = 2; i <= n; ++i) {
+    permutations *= static_cast<size_t>(i);
+    if (permutations > (size_t{1} << bits)) return 0;
+  }
+  return permutations;
+}
+
 }  // namespace
 
 struct StructureSpace::Level {
@@ -42,6 +59,19 @@ struct StructureSpace::Level {
   std::vector<std::vector<int>> shifted;
   // Memo bytes, one per mask; allocated on first lookup.
   std::vector<uint8_t> memo;
+  // n! at an orbit-keyed level, 0 at a per-mask level.
+  size_t permutations = 0;
+  // Per permutation (identity first), the image of every bit under it.
+  std::vector<uint8_t> permuted;
+
+  uint64_t Permute(size_t p, uint64_t mask) const {
+    const uint8_t* image = permuted.data() + p * tuples.size();
+    uint64_t result = 0;
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      result |= uint64_t{1} << image[std::countr_zero(rest)];
+    }
+    return result;
+  }
 };
 
 StructureSpace::StructureSpace(Vocabulary vocabulary, StructureClass c,
@@ -88,12 +118,24 @@ StructureSpace::Level& StructureSpace::GetLevel(int n) {
       }
     }
   }
+  level->permutations = OrbitPermutations(n, level->tuples.size());
+  if (level->permutations > 0) {
+    std::vector<int> perm(static_cast<size_t>(n));
+    std::iota(perm.begin(), perm.end(), 0);
+    do {
+      for (const auto& [rel, tuple] : level->tuples) {
+        Tuple image = tuple;
+        for (int& x : image) x = perm[static_cast<size_t>(x)];
+        level->permuted.push_back(
+            static_cast<uint8_t>(TupleBit(vocabulary_, n, rel, image)));
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
   slot = std::move(level);
   return *slot;
 }
 
-uint8_t& StructureSpace::Memo(int n, uint64_t mask) {
-  Level& level = GetLevel(n);
+uint8_t& StructureSpace::Memo(Level& level, uint64_t mask) {
   if (level.memo.empty()) {
     level.memo.assign(size_t{1} << level.tuples.size(), 0);
   }
@@ -116,22 +158,81 @@ const Structure& StructureSpace::At(int n, uint64_t mask) {
   return *current_;
 }
 
-bool StructureSpace::InClass(int n, uint64_t mask) {
-  uint8_t& memo = Memo(n, mask);
-  if ((memo & kClassKnown) == 0) {
-    memo |= class_.contains(At(n, mask)) ? kClassKnown | kInClass
-                                         : kClassKnown;
+bool StructureSpace::Judge(
+    int n, uint64_t mask, uint8_t known, uint8_t value,
+    const std::function<bool(const Structure&)>& judge) {
+  Level& level = GetLevel(n);
+  uint8_t& memo = Memo(level, mask);
+  if ((memo & known) != 0) return (memo & value) != 0;
+  if (level.permutations == 0) {
+    memo |= judge(At(n, mask)) ? known | value : known;
+    return (memo & value) != 0;
   }
-  return (memo & kInClass) != 0;
+  const uint64_t canonical = Canonical(n, mask);
+  const uint8_t answer =
+      (judge(At(n, canonical)) ? known | value : known) | kOrbitKnown;
+  for (size_t p = 0; p < level.permutations; ++p) {
+    level.memo[level.Permute(p, canonical)] |= answer;
+  }
+  level.memo[canonical] |= kCanonical;
+  return (memo & value) != 0;
+}
+
+bool StructureSpace::InClass(int n, uint64_t mask) {
+  return Judge(n, mask, kClassKnown, kInClass, class_.contains);
 }
 
 bool StructureSpace::Satisfies(int n, uint64_t mask) {
   HOMPRES_CHECK(query_ != nullptr);
-  uint8_t& memo = Memo(n, mask);
-  if ((memo & kQueryKnown) == 0) {
-    memo |= query_(At(n, mask)) ? kQueryKnown | kSatisfies : kQueryKnown;
+  return Judge(n, mask, kQueryKnown, kSatisfies, query_);
+}
+
+uint64_t StructureSpace::Canonical(int n, uint64_t mask) {
+  const Level& level = GetLevel(n);
+  if (level.permutations > 0) {
+    uint64_t least = mask;
+    for (size_t p = 1; p < level.permutations; ++p) {
+      least = std::min(least, level.Permute(p, mask));
+    }
+    return least;
   }
-  return (memo & kSatisfies) != 0;
+  // A per-mask level has only relations of arity <= 1: a relation of
+  // arity >= 2 gives 2^(n^2) >= n! masks. 0-ary bits stay put. The last
+  // unary relation's bits are the most significant, so the least mask
+  // gives its members the lowest ids; ties go to the relation before it,
+  // and so on. That is, the elements sorted by descending colour, where
+  // an element's colour has bit r set when it is in unary relation r.
+  std::vector<uint32_t> colour(static_cast<size_t>(n), 0);
+  uint64_t least = 0;
+  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    const auto& [rel, tuple] =
+        level.tuples[static_cast<size_t>(std::countr_zero(rest))];
+    if (tuple.empty()) {
+      least |= rest & (~rest + 1);
+      continue;
+    }
+    HOMPRES_CHECK_EQ(tuple.size(), 1u);
+    HOMPRES_CHECK_LT(rel, 32);
+    colour[static_cast<size_t>(tuple[0])] |= uint32_t{1} << rel;
+  }
+  std::sort(colour.begin(), colour.end(), std::greater<>());
+  for (int e = 0; e < n; ++e) {
+    for (uint32_t rest = colour[static_cast<size_t>(e)]; rest != 0;
+         rest &= rest - 1) {
+      least |= uint64_t{1}
+               << TupleBit(vocabulary_, n, std::countr_zero(rest), {e});
+    }
+  }
+  return least;
+}
+
+bool StructureSpace::IsCanonical(int n, uint64_t mask) {
+  uint8_t& memo = Memo(GetLevel(n), mask);
+  if ((memo & kOrbitKnown) == 0) {
+    memo |= Canonical(n, mask) == mask ? kOrbitKnown | kCanonical
+                                       : kOrbitKnown;
+  }
+  return (memo & kCanonical) != 0;
 }
 
 uint64_t StructureSpace::RemoveElement(int n, uint64_t mask, int e) {

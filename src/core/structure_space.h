@@ -13,9 +13,26 @@
 //
 // For each point the space memoizes two answers, class membership and
 // the query, each computed on first use (one byte per mask; a level's
-// table is allocated when the level is first touched). A pipeline run
-// therefore judges each structure once however many scans and
-// minimality checks ask about it.
+// table is allocated when the level is first touched). Both answers are
+// isomorphism-invariant (see StructureClass and BooleanQuery), so the
+// memo is keyed by orbit: a permutation of {0, ..., n-1} permutes the
+// tuple bits of level n (0-ary bits stay put), the orbit of a mask is
+// its images under all n! permutations, and its canonical mask is the
+// numerically least one. An answer is computed once, on the canonical
+// mask's structure, and written into the memo byte of every orbit
+// member. The canonical mask is also the first member of its orbit the
+// ascending scan visits, so a consumer that acts only on canonical masks
+// acts once per isomorphism class, in scan order.
+//
+// A level whose n! exceeds its 2^bits masks (only relations of arity
+// at most 1 can do that, e.g. one unary relation at n >= 4) keeps the
+// per-mask memo instead: enumerating the permutations would cost more
+// than judging every mask. Canonical masks there come from sorting the
+// elements by their unary relations. The choice is that comparison,
+// level by level, so orbit keying never makes a level slower.
+//
+// A pipeline run therefore judges each isomorphism class once however
+// many scans and minimality checks ask about it.
 
 #ifndef HOMPRES_CORE_STRUCTURE_SPACE_H_
 #define HOMPRES_CORE_STRUCTURE_SPACE_H_
@@ -37,7 +54,8 @@ namespace hompres {
 class StructureSpace {
  public:
   // `q` may be empty when only class membership is asked for. The class
-  // predicate and q must be deterministic (see BooleanQuery).
+  // predicate and q must be deterministic and isomorphism-invariant (see
+  // StructureClass and BooleanQuery).
   StructureSpace(Vocabulary vocabulary, StructureClass c,
                  BooleanQuery q = {});
   ~StructureSpace();
@@ -73,11 +91,24 @@ class StructureSpace {
   // The mask at level n-1 of At(n, mask).RemoveElement(e).
   uint64_t RemoveElement(int n, uint64_t mask, int e);
 
+  // The numerically least mask of level n whose structure is isomorphic
+  // to At(n, mask).
+  uint64_t Canonical(int n, uint64_t mask);
+
+  // Canonical(n, mask) == mask, memoized: true for exactly one mask per
+  // isomorphism class of level n, the first one the scan visits.
+  bool IsCanonical(int n, uint64_t mask);
+
  private:
   struct Level;
 
   Level& GetLevel(int n);
-  uint8_t& Memo(int n, uint64_t mask);
+  uint8_t& Memo(Level& level, uint64_t mask);
+  // The memoized answer held in the `known` / `value` memo bits of
+  // (n, mask), computed by `judge` on the canonical structure of the
+  // orbit (at a per-mask level, on the structure itself) on first use.
+  bool Judge(int n, uint64_t mask, uint8_t known, uint8_t value,
+             const std::function<bool(const Structure&)>& judge);
   // Memoized class membership of (n, mask).
   bool InClass(int n, uint64_t mask);
 

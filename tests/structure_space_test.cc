@@ -12,6 +12,7 @@
 // list, the model list in order, the optimized UCQ and `verified`.
 
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,12 +172,20 @@ struct Case {
 // vocabulary stays at universe 2, the {Z/0, P/1} cases (16 structures at
 // universe 3) cover verify > search, and the {Z/0, P/1, E/2} cases (128
 // structures at universe 2) skip the cores class, which computes a core
-// per structure and would take seconds there.
+// per structure and would take seconds there. The {P/1} cases (63
+// structures up to universe 5) reach levels that keep the per-mask memo.
 std::vector<Case> Cases() {
   const Vocabulary graph = GraphVocabulary();
   const FormulaPtr z = Formula::Atom("Z", {});
   const FormulaPtr some_p = Formula::Exists("x", Formula::Atom("P", {"x"}));
   const FormulaPtr loop = MustParse("exists x E(x,x)");
+  const FormulaPtr p_pair =
+      MustParse("exists x exists y (P(x) & P(y) & !(x = y))");
+  const FormulaPtr p_quad = MustParse(
+      "exists x exists y exists z exists w (P(x) & P(y) & P(z) & P(w) & "
+      "!(x = y) & !(x = z) & !(x = w) & !(y = z) & !(y = w) & !(z = w))");
+  Vocabulary unary;
+  unary.AddRelation("P", 1);
   return {
       // Existential-positive sentences.
       {"edge", graph, MustParse("exists x exists y E(x,y)"), 2, 2},
@@ -189,14 +198,28 @@ std::vector<Case> Cases() {
       // A 0-ary and a unary relation: mask renumbering at arity 0 and 1.
       {"Z|P", NullaryUnaryVocabulary(), Formula::Or({z, some_p}), 2, 3},
       {"Z&P", NullaryUnaryVocabulary(), Formula::And({z, some_p}), 3, 3},
-      {"P-pair", NullaryUnaryVocabulary(),
-       MustParse("exists x exists y (P(x) & P(y) & !(x = y))"), 2, 3},
+      {"P-pair", NullaryUnaryVocabulary(), p_pair, 2, 3},
       {"not-Z", NullaryUnaryVocabulary(), Formula::Not(z), 2, 3},
       {"Z|P|loop", MixedVocabulary(), Formula::Or({z, some_p, loop}), 2, 2,
        {AllStructuresClass(), BoundedTreewidthClass(2)}},
       {"Z&edge", MixedVocabulary(),
        Formula::And({z, MustParse("exists x exists y E(x,y)")}), 2, 2,
        {ExcludesMinorClass(4)}},
+      // Searched at 1, verified at 2: q and the (empty) union disagree
+      // only at P = {0, 1}, an orbit of one mask.
+      {"P-pair", NullaryUnaryVocabulary(), p_pair, 1, 2},
+      // One unary relation: level n has 2^n masks and n! permutations,
+      // so levels 4 and 5 keep the per-mask memo. "P-quad" searched at 3
+      // fails verification at level 4; the negative control "P, 3 not P"
+      // has a minimal model there whose orbit has four masks.
+      {"some-P", unary, some_p, 5, 5},
+      {"P-pair", unary, p_pair, 5, 5},
+      {"P-quad", unary, p_quad, 3, 5},
+      {"P, 3 not P", unary,
+       MustParse("(exists x P(x)) & (exists x exists y exists z (!P(x) & "
+                 "!P(y) & !P(z) & !(x = y) & !(x = z) & !(y = z)))"),
+       4, 5},
+      {"all-P", unary, MustParse("forall x P(x)"), 5, 5},
   };
 }
 
@@ -396,6 +419,119 @@ TEST(StructureSpaceDifferential, ExtensionSearchMatchesStructureLevelCheck) {
           ExtensionMinimalModelsBySearch(q, test_case.vocabulary, c,
                                          test_case.verify_universe),
           want, test_case.label + " on " + c.name);
+    }
+  }
+}
+
+// The §8 pipeline compares q with its existential sentence once per
+// orbit; its verdict must be the mask-by-mask one.
+TEST(StructureSpaceDifferential, ExtensionVerificationMatchesEveryMaskCheck) {
+  for (const Case& test_case : Cases()) {
+    const CompiledSentence compiled(test_case.sentence, test_case.vocabulary);
+    for (const StructureClass& c : ClassesOf(test_case)) {
+      const ExtensionPreservationResult result = ExtensionPreservationPipeline(
+          test_case.sentence, test_case.vocabulary, c,
+          test_case.search_universe, test_case.verify_universe);
+      std::optional<CompiledSentence> existential;
+      if (!result.minimal_models.empty()) {
+        existential.emplace(result.equivalent_existential,
+                            test_case.vocabulary);
+      }
+      bool want = true;
+      Budget unlimited = Budget::Unlimited();
+      (void)OracleForEachInClass(
+          test_case.vocabulary, test_case.verify_universe, c, unlimited,
+          [&](const Structure& a) {
+            want = compiled.Evaluate(a) ==
+                   (existential.has_value() && existential->Evaluate(a));
+            return want;
+          });
+      EXPECT_EQ(result.verified, want) << test_case.label << " on " << c.name;
+    }
+  }
+}
+
+// Canonical(n, a) == Canonical(n, b) exactly when the structures are
+// isomorphic; the canonical mask is a fixed point, no larger than the
+// mask, and keeps the 0-ary tuples. Covers orbit-keyed levels (graphs up
+// to 3 elements, {Z/0, P/1, E/2} up to 2, {Z/0, P/1} up to 4) and a
+// per-mask level ({Z/0, P/1} at 5 elements: 5! > 2^6 masks).
+TEST(StructureSpace, CanonicalMaskMatchesIsomorphism) {
+  const std::vector<std::pair<Vocabulary, int>> runs = {
+      {GraphVocabulary(), 3},
+      {MixedVocabulary(), 2},
+      {NullaryUnaryVocabulary(), 5}};
+  for (const auto& [vocabulary, max_universe] : runs) {
+    StructureSpace space(vocabulary, AllStructuresClass());
+    for (int n = 0; n <= max_universe; ++n) {
+      int bits = 0;
+      for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
+        int count = 1;
+        for (int i = 0; i < vocabulary.Arity(rel); ++i) count *= n;
+        bits += count;
+      }
+      const uint64_t limit = uint64_t{1} << bits;
+      std::vector<Structure> structures;
+      std::vector<uint64_t> canonical;
+      for (uint64_t mask = 0; mask < limit; ++mask) {
+        structures.push_back(space.At(n, mask));
+        canonical.push_back(space.Canonical(n, mask));
+        const uint64_t c = canonical.back();
+        const std::string where = std::to_string(n) + "/" +
+                                  std::to_string(mask) + " " +
+                                  structures.back().DebugString();
+        EXPECT_LE(c, mask) << where;
+        EXPECT_EQ(space.Canonical(n, c), c) << where;
+        EXPECT_EQ(space.IsCanonical(n, mask), c == mask) << where;
+        const Structure& image = space.At(n, c);
+        for (int rel = 0; rel < vocabulary.NumRelations(); ++rel) {
+          if (vocabulary.Arity(rel) != 0) continue;
+          EXPECT_EQ(image.HasTuple(rel, {}), structures.back().HasTuple(rel, {}))
+              << where;
+        }
+      }
+      for (uint64_t a = 0; a < limit; ++a) {
+        for (uint64_t b = a + 1; b < limit; ++b) {
+          ASSERT_EQ(canonical[a] == canonical[b],
+                    AreIsomorphic(structures[a], structures[b]))
+              << n << ": " << structures[a].DebugString() << " vs "
+              << structures[b].DebugString();
+        }
+      }
+    }
+  }
+}
+
+// The orbit memo's promise: over the graph vocabulary at universe <= 3
+// there are 1 + 2 + 10 + 104 = 117 isomorphism classes among the 531
+// masks, and the pipeline asks the class and q once for each, on
+// pairwise non-isomorphic structures.
+TEST(StructureSpaceDifferential, QueryAndClassRunOncePerIsomorphismClass) {
+  const CompiledSentence compiled(MustParse("exists x exists y E(x,y)"),
+                                  GraphVocabulary());
+  std::vector<Structure> asked_class;
+  std::vector<Structure> asked_query;
+  const StructureClass counting_class{"all", [&](const Structure& a) {
+                                        asked_class.push_back(a);
+                                        return true;
+                                      }};
+  const BooleanQuery counting_query = [&](const Structure& a) {
+    asked_query.push_back(a);
+    return compiled.Evaluate(a);
+  };
+  Budget budget = Budget::Unlimited();
+  auto result = PreservationPipelineBudgeted(
+      counting_query, GraphVocabulary(), counting_class, 3, 3, budget);
+  ASSERT_TRUE(result.IsDone());
+  EXPECT_TRUE(result.Value().verified);
+  EXPECT_EQ(asked_class.size(), 117u);
+  EXPECT_EQ(asked_query.size(), 117u);
+  for (const std::vector<Structure>* asked : {&asked_class, &asked_query}) {
+    for (size_t i = 0; i < asked->size(); ++i) {
+      for (size_t j = i + 1; j < asked->size(); ++j) {
+        ASSERT_FALSE(AreIsomorphic((*asked)[i], (*asked)[j]))
+            << (*asked)[i].DebugString();
+      }
     }
   }
 }
