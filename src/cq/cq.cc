@@ -126,57 +126,53 @@ bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   return CqContained(q1, q2) && CqContained(q2, q1);
 }
 
-namespace {
-
-// Tries to find a one-step reduction of q's canonical structure (remove
-// one non-free element, or one tuple) that stays equivalent to q.
-// Returns false with a stopped budget when the search ran out mid-scan.
-bool FindOneStepReduction(const ConjunctiveQuery& q, Budget& budget,
-                          ConjunctiveQuery* out) {
-  const Structure& canonical = q.Canonical();
-  std::vector<bool> is_free(static_cast<size_t>(canonical.UniverseSize()),
-                            false);
-  for (int e : q.FreeElements()) is_free[static_cast<size_t>(e)] = true;
-  for (int e = 0; e < canonical.UniverseSize(); ++e) {
-    if (is_free[static_cast<size_t>(e)]) continue;
-    std::vector<int> old_to_new;
-    Structure candidate = canonical.RemoveElement(e, &old_to_new);
-    std::vector<int> free_elements;
-    for (int f : q.FreeElements()) {
-      free_elements.push_back(old_to_new[static_cast<size_t>(f)]);
-    }
-    ConjunctiveQuery reduced(std::move(candidate), std::move(free_elements));
-    auto equivalent = CqEquivalentBudgeted(q, reduced, budget);
-    if (!equivalent.IsDone()) return false;
-    if (equivalent.Value()) {
-      *out = std::move(reduced);
-      return true;
-    }
-  }
-  for (int rel = 0; rel < canonical.GetVocabulary().NumRelations(); ++rel) {
-    const int count = static_cast<int>(canonical.Tuples(rel).size());
-    for (int i = 0; i < count; ++i) {
-      ConjunctiveQuery reduced(canonical.RemoveTuple(rel, i),
-                               q.FreeElements());
-      auto equivalent = CqEquivalentBudgeted(q, reduced, budget);
-      if (!equivalent.IsDone()) return false;
-      if (equivalent.Value()) {
-        *out = std::move(reduced);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
+// One pass over the elements, removing each non-free element e whose
+// removal keeps the query equivalent. Three facts make one pass, and one
+// containment search per element, enough:
+//   - Only q - e ⊆ q needs a search: q ⊆ q - e always holds, through the
+//     inclusion of the substructure, which fixes the free variables.
+//   - A refuted removal stays refuted. Each accepted q -> q' keeps q'
+//     equivalent to q, so q maps into q' fixing the free variables;
+//     composed with a map q' -> q' - e, that would map q into q - e,
+//     which contains q' - e. So the pass never returns to an element it
+//     kept, and after a removal it resumes at the same position, where
+//     the next element now sits.
+//   - No single atom is ever removable once no element is. A map q ->
+//     q - t that fixes the free variables and misses a (non-free)
+//     element e also maps q into q - e; one that misses none is a
+//     bijection on elements, so it maps each relation's atoms
+//     injectively and cannot land in q - t, which has one atom fewer.
+// The result is the one a scan that retries every element and every atom
+// after each removal, probing both containment directions, would reach.
 Outcome<ConjunctiveQuery> MinimizeCqBudgeted(const ConjunctiveQuery& q,
                                              Budget& budget) {
   ConjunctiveQuery current = q;
-  ConjunctiveQuery next = q;
-  while (FindOneStepReduction(current, budget, &next)) {
-    current = next;
+  int e = 0;
+  while (e < current.Canonical().UniverseSize()) {
+    const std::vector<int>& free_elements = current.FreeElements();
+    if (std::find(free_elements.begin(), free_elements.end(), e) !=
+        free_elements.end()) {
+      ++e;
+      continue;
+    }
+    std::vector<int> old_to_new;
+    Structure candidate = current.Canonical().RemoveElement(e, &old_to_new);
+    std::vector<int> reduced_free;
+    reduced_free.reserve(free_elements.size());
+    for (int f : free_elements) {
+      reduced_free.push_back(old_to_new[static_cast<size_t>(f)]);
+    }
+    ConjunctiveQuery reduced(std::move(candidate), std::move(reduced_free));
+    const Outcome<bool> contained = CqContainedBudgeted(reduced, current,
+                                                        budget);
+    if (!contained.IsDone()) {
+      return Outcome<ConjunctiveQuery>::StoppedShort(budget.Report());
+    }
+    if (contained.Value()) {
+      current = std::move(reduced);
+    } else {
+      ++e;
+    }
   }
   if (budget.Stopped()) {
     return Outcome<ConjunctiveQuery>::StoppedShort(budget.Report());

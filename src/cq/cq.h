@@ -95,7 +95,10 @@ ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& q);
 
 // Budgeted minimization; the budget is shared across all inner
 // containment searches. Done(q') is a verified minimal equivalent;
-// StoppedShort claims no intermediate result.
+// StoppedShort claims no intermediate result. One pass over the
+// non-free elements, one containment search (q - e ⊆ q) each: a removal
+// refuted once stays refuted, and once no element is removable no single
+// atom is (cq.cc has the argument).
 Outcome<ConjunctiveQuery> MinimizeCqBudgeted(const ConjunctiveQuery& q,
                                              Budget& budget);
 

@@ -63,7 +63,9 @@ Src SetSrc(const std::set<Tuple>& set,
 // head has any derivation (DRed rederivation, early exit at the first
 // witness). Unbudgeted: maintenance work is measured, not limited. Each
 // satisfying combination of source tuples is visited exactly once, so
-// CountInto's per-head totals are exact derivation counts.
+// CountInto's per-head totals are exact derivation counts under any atom
+// order; callers pick the order that starts where the join is narrowest
+// (MaintenanceOrders: the delta position, or the pre-bound head).
 class DeltaJoin {
  public:
   DeltaJoin(const CompiledRule& rule, const std::vector<Src>& sources,
@@ -429,7 +431,7 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
     }
   }
   for (const DatalogRule& rule : Rules()) {
-    compiled_.push_back(CompileRule(rule));
+    compiled_.push_back(CompileMaintenanceOrders(rule));
     rule_heads_.push_back(*program_.IdbIndexOf(rule.head.relation));
   }
 
@@ -473,7 +475,7 @@ void MaterializedView::FullCountingEval(long long* derivations) {
               idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]));
         }
       }
-      DeltaJoin(compiled_[r], sources, derivations)
+      DeltaJoin(compiled_[r].full, sources, derivations)
           .CountInto(&counts_[static_cast<size_t>(p)], 1);
     }
     auto& set = idb_[static_cast<size_t>(p)];
@@ -634,7 +636,8 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
               sources.push_back(old_src(rule.body[j]));
             }
           }
-          DeltaJoin(compiled_[r], sources, &stats->derivations)
+          DeltaJoin(compiled_[r].from_delta[i], sources,
+                    &stats->derivations)
               .CountInto(&delta_counts, weights[d]);
         }
       }
@@ -697,7 +700,8 @@ void MaterializedView::DeltaInsert(
       sources.push_back(j == delta_pos ? SetSrc(dset)
                                        : full_src(rule.body[j]));
     }
-    DeltaJoin(compiled_[r], sources, &stats->derivations)
+    DeltaJoin(compiled_[r].from_delta[delta_pos], sources,
+              &stats->derivations)
         .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
   };
 
@@ -787,7 +791,8 @@ void MaterializedView::DRed(const NetDelta& net,
         sources.push_back(j == delta_pos ? SetSrc(dset)
                                          : old_src(rule.body[j]));
       }
-      DeltaJoin(compiled_[r], sources, &stats->derivations)
+      DeltaJoin(compiled_[r].from_delta[delta_pos], sources,
+                &stats->derivations)
           .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
     };
 
@@ -903,7 +908,8 @@ bool MaterializedView::ExistsDerivation(int idb_index, const Tuple& fact,
             idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]));
       }
     }
-    if (DeltaJoin(compiled_[r], sources, derivations).Exists(fact)) {
+    if (DeltaJoin(compiled_[r].head_bound, sources, derivations)
+            .Exists(fact)) {
       return true;
     }
   }

@@ -133,6 +133,14 @@ class MaterializedView {
   const IdbInterpretation& Idb() const { return idb_; }
   const std::set<Tuple>& IdbRelation(int idb_index) const;
 
+  // Derivation counts per IDB fact over the rule set the view maintains
+  // (the program's rules, or its stage-UCQ unfolding once bounded);
+  // empty when the view keeps no counting state (recursive and not
+  // bounded, or the forced baseline).
+  const std::vector<std::map<Tuple, long long>>& DerivationCounts() const {
+    return counts_;
+  }
+
   bool Recursive() const { return recursive_; }
 
   // True iff every IDB was certified bounded at construction;
@@ -165,8 +173,12 @@ class MaterializedView {
   DatalogProgram program_;
   MaterializedViewOptions options_;
   Structure base_;
-  std::vector<CompiledRule> compiled_;  // per Rules() entry
-  std::vector<int> rule_heads_;         // IDB index per Rules() entry
+  // Join orders per Rules() entry (datalog/rule_eval.h): full counting
+  // evaluation runs the batch order, every delta join the order that
+  // starts at its delta position, and DRed's rederivation probes the
+  // head-bound order.
+  std::vector<MaintenanceOrders> compiled_;
+  std::vector<int> rule_heads_;  // IDB index per Rules() entry
 
   bool recursive_ = false;
   bool has_inequalities_ = false;

@@ -8,7 +8,12 @@
 
 namespace hompres {
 
-CompiledRule CompileRule(const DatalogRule& rule) {
+namespace {
+
+// Compiles `rule` with body atom `first_atom` (when >= 0) joining first
+// and, when `head_bound`, the head's slots counted as bound up front.
+CompiledRule Compile(const DatalogRule& rule, int first_atom,
+                     bool head_bound) {
   CompiledRule cr;
   std::map<std::string, int> slot_of;
   const auto slot = [&slot_of](const std::string& v) {
@@ -32,13 +37,18 @@ CompiledRule CompileRule(const DatalogRule& rule) {
     cr.head_slots.push_back(it->second);
   }
   const size_t n = rule.body.size();
+  AtomOrderSeed order_seed;
+  order_seed.first_atom = first_atom;
+  if (head_bound) order_seed.bound_slots = cr.head_slots;
   // Join order: most-bound-slots-first greedy (engine/ordering.h), the
   // same statistics-driven policy the hom engine's planner uses.
-  for (int i : GreedyBoundFirstAtomOrder(atom_slots, cr.num_slots)) {
+  for (int i :
+       GreedyBoundFirstAtomOrder(atom_slots, cr.num_slots, order_seed)) {
     cr.atoms.push_back(CompiledAtom{i, atom_slots[static_cast<size_t>(i)]});
   }
   cr.ineqs_after.assign(n, {});
   std::vector<bool> bound(static_cast<size_t>(cr.num_slots), false);
+  for (int s : order_seed.bound_slots) bound[static_cast<size_t>(s)] = true;
   std::vector<std::pair<int, int>> pending;
   for (const auto& [left, right] : rule.inequalities) {
     const auto l = slot_of.find(left);
@@ -61,6 +71,24 @@ CompiledRule CompileRule(const DatalogRule& rule) {
   }
   HOMPRES_CHECK(pending.empty());  // every ineq var occurs in the body
   return cr;
+}
+
+}  // namespace
+
+CompiledRule CompileRule(const DatalogRule& rule) {
+  return Compile(rule, /*first_atom=*/-1, /*head_bound=*/false);
+}
+
+MaintenanceOrders CompileMaintenanceOrders(const DatalogRule& rule) {
+  MaintenanceOrders orders;
+  orders.full = CompileRule(rule);
+  orders.from_delta.reserve(rule.body.size());
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    orders.from_delta.push_back(
+        Compile(rule, static_cast<int>(i), /*head_bound=*/false));
+  }
+  orders.head_bound = Compile(rule, /*first_atom=*/-1, /*head_bound=*/true);
+  return orders;
 }
 
 std::vector<CompiledRule> CompileProgram(const DatalogProgram& program) {

@@ -60,13 +60,23 @@ SplitChoice ChooseSplitElements(const Structure& a, const Structure& b,
 }
 
 std::vector<int> GreedyBoundFirstAtomOrder(
-    const std::vector<std::vector<int>>& atom_slots, int num_slots) {
+    const std::vector<std::vector<int>>& atom_slots, int num_slots,
+    const AtomOrderSeed& seed) {
   const size_t n = atom_slots.size();
   std::vector<int> order;
   order.reserve(n);
   std::vector<bool> used(n, false);
   std::vector<bool> bound(static_cast<size_t>(num_slots), false);
-  for (size_t step = 0; step < n; ++step) {
+  for (int s : seed.bound_slots) bound[static_cast<size_t>(s)] = true;
+  const auto take = [&](int atom) {
+    used[static_cast<size_t>(atom)] = true;
+    order.push_back(atom);
+    for (int s : atom_slots[static_cast<size_t>(atom)]) {
+      bound[static_cast<size_t>(s)] = true;
+    }
+  };
+  if (seed.first_atom >= 0) take(seed.first_atom);
+  while (order.size() < n) {
     int best = -1;
     int best_bound = -1;
     for (size_t i = 0; i < n; ++i) {
@@ -81,11 +91,7 @@ std::vector<int> GreedyBoundFirstAtomOrder(
         best = static_cast<int>(i);
       }
     }
-    used[static_cast<size_t>(best)] = true;
-    order.push_back(best);
-    for (int s : atom_slots[static_cast<size_t>(best)]) {
-      bound[static_cast<size_t>(s)] = true;
-    }
+    take(best);
   }
   return order;
 }

@@ -15,7 +15,8 @@
 //    so that each join step touches the atom with the most
 //    already-bound variable slots (ties keep the original body order).
 //    Extracted from the compiled-rule engine so the policy is stated,
-//    and tested, once.
+//    and tested, once. A seed starts the order at a delta atom or with
+//    pre-bound slots (datalog/rule_eval.h's maintenance orders).
 
 #ifndef HOMPRES_ENGINE_ORDERING_H_
 #define HOMPRES_ENGINE_ORDERING_H_
@@ -51,12 +52,23 @@ SplitChoice ChooseSplitElements(const Structure& a, const Structure& b,
                                 const std::vector<std::pair<int, int>>& forced,
                                 int num_threads);
 
+// Where a greedy join order starts. The default seeds nothing and gives
+// the batch order; view maintenance seeds an order with the atom its
+// delta feeds, or with the slots a head-bound probe fixes in advance.
+struct AtomOrderSeed {
+  int first_atom = -1;           // joins first when >= 0
+  std::vector<int> bound_slots;  // count as bound before any atom joins
+};
+
 // Greedy bound-first join order for a rule body. atom_slots[i] lists the
 // variable slots of body atom i; the result is a permutation of the atom
 // indices: at each step the unused atom with the most already-bound
-// slots (ties resolved to the lowest original index) joins next.
+// slots (ties resolved to the lowest original index) joins next. A seed
+// pins the first atom and pre-binds slots; the greedy rule orders the
+// rest.
 std::vector<int> GreedyBoundFirstAtomOrder(
-    const std::vector<std::vector<int>>& atom_slots, int num_slots);
+    const std::vector<std::vector<int>>& atom_slots, int num_slots,
+    const AtomOrderSeed& seed = {});
 
 }  // namespace hompres
 

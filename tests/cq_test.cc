@@ -1,7 +1,11 @@
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/budget.h"
+#include "base/rng.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "graph/builders.h"
@@ -196,6 +200,107 @@ TEST(Cq, MinimizationPreservesFreeVariables) {
   EXPECT_EQ(minimized.Canonical().UniverseSize(), 2);
   EXPECT_EQ(minimized.Arity(), 1);
   EXPECT_TRUE(CqEquivalent(q, minimized));
+}
+
+// The minimizer's earlier one-step scan, kept as its oracle: both
+// containment directions probed for every candidate element and atom
+// removal, rescanning from the start after each success.
+bool OracleOneStepReduction(const ConjunctiveQuery& q, Budget& budget,
+                            ConjunctiveQuery* out) {
+  const Structure& canonical = q.Canonical();
+  std::vector<bool> is_free(static_cast<size_t>(canonical.UniverseSize()),
+                            false);
+  for (int e : q.FreeElements()) is_free[static_cast<size_t>(e)] = true;
+  for (int e = 0; e < canonical.UniverseSize(); ++e) {
+    if (is_free[static_cast<size_t>(e)]) continue;
+    std::vector<int> old_to_new;
+    Structure candidate = canonical.RemoveElement(e, &old_to_new);
+    std::vector<int> free_elements;
+    for (int f : q.FreeElements()) {
+      free_elements.push_back(old_to_new[static_cast<size_t>(f)]);
+    }
+    ConjunctiveQuery reduced(std::move(candidate), std::move(free_elements));
+    if (CqEquivalentBudgeted(q, reduced, budget).Value()) {
+      *out = std::move(reduced);
+      return true;
+    }
+  }
+  for (int rel = 0; rel < canonical.GetVocabulary().NumRelations(); ++rel) {
+    const int count = static_cast<int>(canonical.Tuples(rel).size());
+    for (int i = 0; i < count; ++i) {
+      ConjunctiveQuery reduced(canonical.RemoveTuple(rel, i),
+                               q.FreeElements());
+      if (CqEquivalentBudgeted(q, reduced, budget).Value()) {
+        *out = std::move(reduced);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// A random CQ over {Z/0, U/1, E/2} with 1-3 free positions (repeats
+// allowed): a few edges, loops among them, unary marks, and sometimes
+// the 0-ary atom.
+ConjunctiveQuery RandomFreeCq(Rng& rng) {
+  Vocabulary voc;
+  voc.AddRelation("Z", 0);
+  voc.AddRelation("U", 1);
+  voc.AddRelation("E", 2);
+  const int n = rng.UniformInt(1, 6);
+  Structure canonical(voc, n);
+  if (rng.Bernoulli(0.4)) canonical.AddTuple(0, {});
+  for (int k = rng.UniformInt(0, 2); k > 0; --k) {
+    canonical.AddTuple(1, {rng.UniformInt(0, n - 1)});
+  }
+  for (int k = rng.UniformInt(0, 2 * n); k > 0; --k) {
+    const int x = rng.UniformInt(0, n - 1);
+    const int y = rng.Bernoulli(0.2) ? x : rng.UniformInt(0, n - 1);
+    canonical.AddTuple(2, {x, y});
+  }
+  std::vector<int> free_elements;
+  for (int k = rng.UniformInt(1, 3); k > 0; --k) {
+    free_elements.push_back(rng.UniformInt(0, n - 1));
+  }
+  return ConjunctiveQuery(std::move(canonical), std::move(free_elements));
+}
+
+TEST(Cq, MinimizationMatchesTheTwoSidedScan) {
+  // The single element pass (one q-e ⊆ q search per element, no atom
+  // removals) reaches exactly the query the two-sided retry-everything
+  // scan reaches, and the engine work (budget steps) can only shrink.
+  Rng rng(20261018);
+  uint64_t oracle_steps = 0;
+  uint64_t steps = 0;
+  int reduced = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const ConjunctiveQuery q = RandomFreeCq(rng);
+    Budget oracle_budget = Budget::Unlimited();
+    ConjunctiveQuery expected = q;
+    ConjunctiveQuery next = q;
+    while (OracleOneStepReduction(expected, oracle_budget, &next)) {
+      expected = next;
+    }
+    Budget budget = Budget::Unlimited();
+    Outcome<ConjunctiveQuery> minimized = MinimizeCqBudgeted(q, budget);
+    ASSERT_TRUE(minimized.IsDone());
+    const ConjunctiveQuery& got = minimized.Value();
+    ASSERT_TRUE(got.Canonical() == expected.Canonical())
+        << "trial " << trial << ": " << q.ToString() << " minimized to "
+        << got.ToString() << ", oracle " << expected.ToString();
+    ASSERT_EQ(got.FreeElements(), expected.FreeElements())
+        << "trial " << trial << ": " << q.ToString();
+    const uint64_t used = budget.Report().steps_used;
+    const uint64_t oracle_used = oracle_budget.Report().steps_used;
+    EXPECT_LE(used, oracle_used) << "trial " << trial << ": " << q.ToString();
+    steps += used;
+    oracle_steps += oracle_used;
+    if (expected.Canonical().NumTuples() < q.Canonical().NumTuples()) {
+      ++reduced;
+    }
+  }
+  EXPECT_GT(reduced, 50);  // the draw exercises real reductions
+  EXPECT_LT(steps, oracle_steps);
 }
 
 TEST(Cq, ToStringMentionsAtoms) {

@@ -1,10 +1,14 @@
 #include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "datalog/eval.h"
+#include "datalog/parser.h"
 #include "datalog/program.h"
+#include "datalog/rule_eval.h"
 #include "datalog/stages.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
@@ -87,6 +91,87 @@ TEST(Eval, BoundedProgramStages) {
   // Non-recursive: fixpoint after 1 stage regardless of input size.
   EXPECT_EQ(result.stages, 1);
   EXPECT_EQ(result.idb[0].size(), 9u + 8u);
+}
+
+// Body positions of a compiled order, in join order.
+std::vector<int> JoinOrder(const CompiledRule& rule) {
+  std::vector<int> order;
+  for (const CompiledAtom& atom : rule.atoms) order.push_back(atom.body_pos);
+  return order;
+}
+
+TEST(RuleEval, BatchAndMaintenanceOrdersOnFixedRules) {
+  const std::optional<DatalogProgram> program = ParseDatalogProgram(
+      "T(x,y) <- E(x,z), T(z,y)."
+      " S(x,w) <- E(x,y), E(z,w), E(y,z)."
+      " D(x) <- E(y,z), E(x,x), x != y.",
+      GraphVocabulary());
+  ASSERT_TRUE(program.has_value());
+  const std::vector<DatalogRule>& rules = program->Rules();
+  // The batch order: greedy bound-first, ties to the lower position.
+  EXPECT_EQ(JoinOrder(CompileRule(rules[0])), (std::vector<int>{0, 1}));
+  EXPECT_EQ(JoinOrder(CompileRule(rules[1])), (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(JoinOrder(CompileRule(rules[2])), (std::vector<int>{0, 1}));
+  for (const DatalogRule& rule : rules) {
+    const MaintenanceOrders orders = CompileMaintenanceOrders(rule);
+    EXPECT_EQ(JoinOrder(orders.full), JoinOrder(CompileRule(rule)));
+    ASSERT_EQ(orders.from_delta.size(), rule.body.size());
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      EXPECT_EQ(orders.from_delta[i].atoms.front().body_pos,
+                static_cast<int>(i));
+    }
+  }
+  const MaintenanceOrders s = CompileMaintenanceOrders(rules[1]);
+  EXPECT_EQ(JoinOrder(s.from_delta[1]), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(JoinOrder(s.from_delta[2]), (std::vector<int>{2, 0, 1}));
+  // Head-bound: x and w count as bound, so the atoms holding them lead.
+  EXPECT_EQ(JoinOrder(s.head_bound), (std::vector<int>{0, 1, 2}));
+  // The inequality x != y is checked as soon as both slots are bound,
+  // which in every order is after the second atom.
+  const MaintenanceOrders d = CompileMaintenanceOrders(rules[2]);
+  EXPECT_EQ(JoinOrder(d.from_delta[1]), (std::vector<int>{1, 0}));
+  EXPECT_EQ(d.full.ineqs_after[0].size(), 0u);
+  EXPECT_EQ(d.full.ineqs_after[1].size(), 1u);
+  EXPECT_EQ(d.from_delta[1].ineqs_after[1].size(), 1u);
+  EXPECT_EQ(JoinOrder(d.head_bound), (std::vector<int>{1, 0}));
+}
+
+TEST(Eval, SemiNaiveCountsOnFixedProgramsAreGolden) {
+  // The batch evaluator keeps the batch join order: stage and derivation
+  // counts on fixed inputs are pinned, so a change to the shared rule
+  // compiler that reorders batch joins shows here.
+  struct Case {
+    const char* program;
+    Structure edb;
+    int stages;
+    long long derivations;
+  };
+  Structure grid(GraphVocabulary(), 9);
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      if (c + 1 < 3) grid.AddTuple(0, {3 * r + c, 3 * r + c + 1});
+      if (r + 1 < 3) grid.AddTuple(0, {3 * r + c, 3 * (r + 1) + c});
+    }
+  }
+  Rng rng(2026);
+  const std::vector<Case> cases = {
+      {"T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).",
+       DirectedPathStructure(8), 7, 77},
+      {"T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).",
+       DirectedCycleStructure(5), 5, 55},
+      {"R(x,y) <- E(x,y). R(x,y) <- E(x,z), E(z,y).", grid, 1, 38},
+      {"T(x,y) <- E(x,y). T(x,y) <- T(x,z), T(z,y). "
+       "N(x,y) <- T(x,y), T(y,z), x != z.",
+       RandomStructure(GraphVocabulary(), 6, 9, rng), 3, 287},
+  };
+  for (const Case& c : cases) {
+    const std::optional<DatalogProgram> program =
+        ParseDatalogProgram(c.program, GraphVocabulary());
+    ASSERT_TRUE(program.has_value()) << c.program;
+    const DatalogResult result = EvaluateSemiNaive(*program, c.edb);
+    EXPECT_EQ(result.stages, c.stages) << c.program;
+    EXPECT_EQ(result.derivations, c.derivations) << c.program;
+  }
 }
 
 TEST(Stages, Theorem71StageFormulasMatchOperatorStages) {

@@ -592,6 +592,33 @@ TEST(EnginePlan, GreedyBoundFirstAtomOrderPrefersBoundSlots) {
   EXPECT_EQ(GreedyBoundFirstAtomOrder({{2, 3}, {0, 1}, {1, 2}}, 4),
             (std::vector<int>{0, 2, 1}));
   EXPECT_EQ(GreedyBoundFirstAtomOrder({}, 0), (std::vector<int>{}));
+  // An empty seed is the default order.
+  EXPECT_EQ(GreedyBoundFirstAtomOrder({{2, 3}, {0, 1}, {1, 2}}, 4, {}),
+            (std::vector<int>{0, 2, 1}));
+}
+
+TEST(EnginePlan, SeededAtomOrdersStartAtTheSeed) {
+  const std::vector<std::vector<int>> chain = {{0, 1}, {1, 2}, {2, 3}};
+  // A pinned first atom joins first; the greedy rule orders the rest
+  // from the slots it bound (ties still keep the lowest index).
+  AtomOrderSeed last;
+  last.first_atom = 2;
+  EXPECT_EQ(GreedyBoundFirstAtomOrder(chain, 4, last),
+            (std::vector<int>{2, 1, 0}));
+  AtomOrderSeed middle;
+  middle.first_atom = 1;
+  EXPECT_EQ(GreedyBoundFirstAtomOrder(chain, 4, middle),
+            (std::vector<int>{1, 0, 2}));
+  // Pre-bound slots count from the first step: slot 3 pulls atom 2
+  // forward, and with slots 1 and 2 bound atom 1 (two bound) wins.
+  AtomOrderSeed tail_bound;
+  tail_bound.bound_slots = {3};
+  EXPECT_EQ(GreedyBoundFirstAtomOrder(chain, 4, tail_bound),
+            (std::vector<int>{2, 1, 0}));
+  AtomOrderSeed inner_bound;
+  inner_bound.bound_slots = {1, 2};
+  EXPECT_EQ(GreedyBoundFirstAtomOrder(chain, 4, inner_bound),
+            (std::vector<int>{1, 0, 2}));
 }
 
 // A 0-ary tuple constrains no element, so the kernels never see it; the
