@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "datalog_scan_oracle.h"
 #include "json_main.h"
 
 #include "base/rng.h"
@@ -52,18 +53,19 @@ BENCHMARK(BM_TransitiveClosureSemiNaive)->Arg(8)->Arg(16)->Arg(32);
 // Indexed (compiled rules + bound-prefix lookups) vs pure-scan semi-naive
 // evaluation on transitive closure over random sparse digraphs. Rows with
 // equal n give the index speedup; both engines reach the identical
-// fixpoint (the `facts` counter), the scan just enumerates the full
-// E x T cross product per round where the indexed join binds z.
-void RunTransitiveClosureEngines(benchmark::State& state, bool use_index) {
+// fixpoint (the `facts` counter), the scan (the test oracle of
+// tests/datalog_scan_oracle.h) just enumerates the full E x T cross
+// product per round where the indexed join binds z.
+void RunTransitiveClosureEngines(
+    benchmark::State& state,
+    DatalogResult (*evaluate)(const DatalogProgram&, const Structure&)) {
   const int n = static_cast<int>(state.range(0));
   DatalogProgram tc = DatalogProgram::TransitiveClosure();
   Rng rng(7);
   Structure g = RandomStructure(GraphVocabulary(), n, 3 * n, rng);
-  DatalogEvalOptions options;
-  options.use_index = use_index;
   DatalogResult result;
   for (auto _ : state) {
-    result = EvaluateSemiNaive(tc, g, options);
+    result = evaluate(tc, g);
     benchmark::DoNotOptimize(result);
   }
   state.counters["facts"] = static_cast<double>(result.idb[0].size());
@@ -71,13 +73,16 @@ void RunTransitiveClosureEngines(benchmark::State& state, bool use_index) {
 }
 
 void BM_TransitiveClosureIndexed(benchmark::State& state) {
-  RunTransitiveClosureEngines(state, /*use_index=*/true);
+  RunTransitiveClosureEngines(
+      state, [](const DatalogProgram& program, const Structure& edb) {
+        return EvaluateSemiNaive(program, edb);
+      });
 }
 
 BENCHMARK(BM_TransitiveClosureIndexed)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_TransitiveClosureScan(benchmark::State& state) {
-  RunTransitiveClosureEngines(state, /*use_index=*/false);
+  RunTransitiveClosureEngines(state, ScanEvaluateSemiNaive);
 }
 
 BENCHMARK(BM_TransitiveClosureScan)->Arg(32)->Arg(64)->Arg(128);

@@ -1,9 +1,7 @@
 #include "datalog/eval.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
-#include <span>
+#include <memory>
 #include <utility>
 
 #include "base/check.h"
@@ -11,363 +9,104 @@
 #include "base/parallel_driver.h"
 #include "base/thread_pool.h"
 #include "datalog/rule_eval.h"
-#include "structure/relation_index.h"
 
 namespace hompres {
 
 namespace {
 
-// One tuple store a body atom joins against: either an IDB/delta tuple
-// set, or an EDB relation (sorted vector plus its RelationIndex).
-struct TupleSource {
-  const std::set<Tuple>* set = nullptr;
-  const std::vector<Tuple>* vec = nullptr;
-  const RelationIndex* index = nullptr;
-  int rel = -1;
-};
-
-// Indexed join over the compiled atom order. Each atom enumerates only
-// candidates matching its bound positions — the longest bound prefix via
-// a range lookup on the sorted store, or the shortest inverted list of a
-// bound position (EDB sources) — and unification re-checks every
-// position, so the derived heads equal the full scan's. One budget step
-// per candidate visited.
-class CompiledJoin {
- public:
-  CompiledJoin(const CompiledRule& rule,
-               const std::vector<TupleSource>& sources, Budget& budget,
-               long long* derivations, std::set<Tuple>* out)
-      : rule_(rule),
-        sources_(sources),
-        budget_(budget),
-        derivations_(derivations),
-        out_(out) {}
-
-  // Returns false iff the budget stopped the enumeration.
-  bool Run() {
-    binding_.assign(static_cast<size_t>(rule_.num_slots), -1);
-    added_.resize(rule_.atoms.size());
-    for (size_t i = 0; i < rule_.atoms.size(); ++i) {
-      added_[i].reserve(rule_.atoms[i].slots.size());
-    }
-    return Join(0);
-  }
-
- private:
-  bool Visit(size_t idx, const Tuple& t) {
-    if (!budget_.Checkpoint()) return false;
-    ++*derivations_;
-    const CompiledAtom& atom = rule_.atoms[idx];
-    bool consistent = true;
-    // Per-depth scratch: Visit at this depth is not re-entered while its
-    // slots are still bound (the recursion proceeds to idx + 1).
-    std::vector<int>& added = added_[idx];
-    added.clear();
-    for (size_t j = 0; j < atom.slots.size(); ++j) {
-      const size_t s = static_cast<size_t>(atom.slots[j]);
-      if (binding_[s] == -1) {
-        binding_[s] = t[j];
-        added.push_back(static_cast<int>(s));
-      } else if (binding_[s] != t[j]) {
-        consistent = false;
-        break;
-      }
-    }
-    if (consistent) {
-      // Eager inequality pruning: both sides are bound from this atom on.
-      for (const auto& [l, r] : rule_.ineqs_after[idx]) {
-        if (binding_[static_cast<size_t>(l)] ==
-            binding_[static_cast<size_t>(r)]) {
-          consistent = false;
-          break;
-        }
-      }
-    }
-    bool ok = true;
-    if (consistent) ok = Join(idx + 1);
-    for (int s : added) binding_[static_cast<size_t>(s)] = -1;
-    return ok;
-  }
-
-  bool Join(size_t idx) {
-    if (idx == rule_.atoms.size()) {
-      Tuple head;
-      head.reserve(rule_.head_slots.size());
-      for (int s : rule_.head_slots) {
-        head.push_back(binding_[static_cast<size_t>(s)]);
-      }
-      out_->insert(std::move(head));
-      return true;
-    }
-    const CompiledAtom& atom = rule_.atoms[idx];
-    const TupleSource& src = sources_[static_cast<size_t>(atom.body_pos)];
-    const size_t arity = atom.slots.size();
-    Tuple prefix;
-    for (size_t j = 0; j < arity; ++j) {
-      const int v = binding_[static_cast<size_t>(atom.slots[j])];
-      if (v < 0) break;
-      prefix.push_back(v);
-    }
-    if (src.set != nullptr) {
-      if (prefix.empty()) {
-        for (const Tuple& t : *src.set) {
-          if (!Visit(idx, t)) return false;
-        }
-      } else {
-        for (auto it = src.set->lower_bound(prefix); it != src.set->end();
-             ++it) {
-          if (!std::equal(prefix.begin(), prefix.end(), it->begin())) break;
-          if (!Visit(idx, *it)) return false;
-        }
-      }
-      return true;
-    }
-    const auto [lo, hi] = src.index->PrefixRange(src.rel, prefix);
-    std::span<const int> ids;
-    bool use_ids = false;
-    size_t best = static_cast<size_t>(hi - lo);
-    for (size_t j = prefix.size(); j < arity; ++j) {
-      const int v = binding_[static_cast<size_t>(atom.slots[j])];
-      if (v < 0) continue;
-      const auto list = src.index->TuplesAt(src.rel, static_cast<int>(j), v);
-      if (list.size() < best) {
-        best = list.size();
-        ids = list;
-        use_ids = true;
-      }
-    }
-    const std::vector<Tuple>& tuples = *src.vec;
-    if (use_ids) {
-      for (int id : ids) {
-        if (!Visit(idx, tuples[static_cast<size_t>(id)])) return false;
-      }
-    } else {
-      for (int id = lo; id < hi; ++id) {
-        if (!Visit(idx, tuples[static_cast<size_t>(id)])) return false;
-      }
-    }
-    return true;
-  }
-
-  const CompiledRule& rule_;
-  const std::vector<TupleSource>& sources_;
-  Budget& budget_;
-  long long* derivations_;
-  std::set<Tuple>* out_;
-  std::vector<int> binding_;
-  std::vector<std::vector<int>> added_;  // per-depth unbind scratch
-};
-
-// --- Interpretive scan engine (the pre-index baseline, bit-identical) ---
-//
-// Enumerates all assignments satisfying the rule body and emits head
-// tuples into `out`. For each body atom, `sources` gives the tuple set to
-// match it against. Adds the number of assignments enumerated to
-// `*derivations`; each assignment is one budget step. Returns false iff
-// the budget stopped the enumeration (out may hold a partial result).
-bool ApplyRuleScan(const DatalogRule& rule,
-                   const std::vector<TupleSource>& sources, Budget& budget,
-                   long long* derivations, std::set<Tuple>* out) {
-  std::map<std::string, int> binding;
-  bool stopped = false;
-  // Recursive join over the body atoms.
-  std::function<void(size_t)> join = [&](size_t index) {
-    if (stopped) return;
-    if (index == rule.body.size()) {
-      for (const auto& [left, right] : rule.inequalities) {
-        if (binding.at(left) == binding.at(right)) return;
-      }
-      Tuple head;
-      head.reserve(rule.head.arguments.size());
-      for (const auto& v : rule.head.arguments) {
-        head.push_back(binding.at(v));
-      }
-      out->insert(std::move(head));
-      return;
-    }
-    const DatalogAtom& atom = rule.body[index];
-    for (const Tuple& t : *sources[index].set) {
-      if (!budget.Checkpoint()) {
-        stopped = true;
-        return;
-      }
-      ++*derivations;
-      // Try to unify the atom's arguments with t.
-      std::vector<std::pair<std::string, int>> added;
-      bool consistent = true;
-      for (size_t i = 0; i < atom.arguments.size() && consistent; ++i) {
-        const std::string& v = atom.arguments[i];
-        auto it = binding.find(v);
-        if (it == binding.end()) {
-          binding[v] = t[i];
-          added.emplace_back(v, t[i]);
-        } else if (it->second != t[i]) {
-          consistent = false;
-        }
-      }
-      if (consistent) join(index + 1);
-      for (const auto& [v, unused] : added) {
-        (void)unused;
-        binding.erase(v);
-      }
-      if (stopped) return;
-    }
-  };
-  join(0);
-  return !stopped;
-}
-
-// Tuple sets of the EDB relations of `edb` (copied once per evaluation;
-// scan engine only — the indexed engine joins against the structure's
-// own sorted vectors through its RelationIndex).
-std::vector<std::set<Tuple>> EdbSets(const DatalogProgram& program,
-                                     const Structure& edb) {
-  std::vector<std::set<Tuple>> sets(
-      static_cast<size_t>(program.Edb().NumRelations()));
-  for (int rel = 0; rel < program.Edb().NumRelations(); ++rel) {
-    for (const Tuple& t : edb.Tuples(rel)) {
-      sets[static_cast<size_t>(rel)].insert(t);
-    }
-  }
-  return sets;
-}
-
-// One rule-body evaluation of a semi-naive round: the rule (in whichever
-// engine's form), the resolved sources for its body atoms (by original
-// body position), and the IDB index its head derives into.
+// One rule-body evaluation of a round: the compiled rule, the resolved
+// sources for its body atoms (by original body position), and the IDB
+// index its head derives into.
 struct RuleJob {
-  const DatalogRule* rule = nullptr;
-  const CompiledRule* compiled = nullptr;  // null = scan engine
-  std::vector<TupleSource> sources;
+  const CompiledRule* rule = nullptr;
+  std::vector<JoinSource> sources;
   int head = 0;
 };
 
 bool ApplyJob(const RuleJob& job, Budget& budget, long long* derivations,
               std::set<Tuple>* out) {
-  if (job.compiled != nullptr) {
-    return CompiledJoin(*job.compiled, job.sources, budget, derivations, out)
-        .Run();
-  }
-  return ApplyRuleScan(*job.rule, job.sources, budget, derivations, out);
+  return RuleJoin(*job.rule, job.sources, budget, derivations)
+      .DeriveInto(out);
 }
 
-// Resolves body-atom sources for one evaluation: EDB atoms hit either the
-// indexed structure or the copied sets, IDB atoms hit the interpretation
-// the caller names.
-class SourcePlan {
+// Runs the rule jobs of a fixpoint's rounds, inserting each job's head
+// tuples into (*out)[job.head] and adding the assignments enumerated to
+// *derivations. Serial when num_threads <= 0; otherwise a round of two or
+// more jobs fans out over a work-stealing pool — created on the first
+// such round, sized for the widest round, and reused by the later ones —
+// each job deriving into its own set (the sources are read-only during
+// the region), merged after the join: the same tuples and derivation
+// count as the serial run.
+class RoundRunner {
  public:
-  SourcePlan(const DatalogProgram& program, const Structure& edb,
-             bool use_index)
-      : program_(program), edb_(edb), use_index_(use_index) {
-    if (use_index_) {
-      index_ = &edb.Index();
-    } else {
-      edb_sets_ = EdbSets(program, edb);
-    }
-  }
+  RoundRunner(int num_threads, int widest_round)
+      : num_threads_(std::min(num_threads, widest_round)) {}
 
-  TupleSource EdbSource(int rel) const {
-    TupleSource s;
-    if (use_index_) {
-      s.vec = &edb_.Tuples(rel);
-      s.index = index_;
-      s.rel = rel;
-    } else {
-      s.set = &edb_sets_[static_cast<size_t>(rel)];
-    }
-    return s;
-  }
-
-  static TupleSource IdbSource(const std::set<Tuple>& set) {
-    TupleSource s;
-    s.set = &set;
-    return s;
-  }
-
-  // Source for body atom `atom`, taking IDB relations from `idb`.
-  TupleSource Resolve(const DatalogAtom& atom,
-                      const IdbInterpretation& idb) const {
-    if (const auto e = program_.Edb().IndexOf(atom.relation);
-        e.has_value()) {
-      return EdbSource(*e);
-    }
-    return IdbSource(
-        idb[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]);
-  }
-
- private:
-  const DatalogProgram& program_;
-  const Structure& edb_;
-  bool use_index_;
-  const RelationIndex* index_ = nullptr;
-  std::vector<std::set<Tuple>> edb_sets_;
-};
-
-// Runs every job, inserting each job's head tuples into (*out)[job.head]
-// and adding the assignments enumerated to *derivations. Serial when
-// num_threads <= 0; otherwise the jobs fan out over a work-stealing pool,
-// each deriving into its own set (the sources are read-only during the
-// region), merged after the join — the same tuples and derivation count
-// as the serial run. Returns true iff every job completed; on false,
-// *stop says why (the parent budget may carry no reason itself).
-bool RunRuleJobs(const std::vector<RuleJob>& jobs, Budget& budget,
-                 int num_threads, long long* derivations,
-                 IdbInterpretation* out, StopReason* stop) {
-  // Injected mid-fixpoint degradation: a round whose fan-out fails runs
-  // serially instead. Tuples and derivation counts are identical by the
-  // merge contract below, so answers are unchanged.
-  if (num_threads > 0 && HOMPRES_FAILPOINT("datalog/parallel_round")) {
-    num_threads = 0;
-  }
-  if (num_threads <= 0 || jobs.size() < 2) {
-    for (const RuleJob& job : jobs) {
-      if (!ApplyJob(job, budget, derivations,
-                    &(*out)[static_cast<size_t>(job.head)])) {
-        *stop = budget.Reason();
-        return false;
+  // Returns true iff every job completed; on false, *stop says why (the
+  // parent budget may carry no reason itself).
+  bool Run(const std::vector<RuleJob>& jobs, Budget& budget,
+           long long* derivations, IdbInterpretation* out, StopReason* stop) {
+    // Injected mid-fixpoint degradation: a round whose fan-out fails runs
+    // serially instead. Tuples and derivation counts are identical by the
+    // merge contract, so answers are unchanged.
+    const bool parallel = num_threads_ > 0 &&
+                          !HOMPRES_FAILPOINT("datalog/parallel_round") &&
+                          jobs.size() >= 2;
+    if (!parallel) {
+      for (const RuleJob& job : jobs) {
+        if (!ApplyJob(job, budget, derivations,
+                      &(*out)[static_cast<size_t>(job.head)])) {
+          *stop = budget.Reason();
+          return false;
+        }
       }
+      return true;
+    }
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
+    const int num_tasks = static_cast<int>(jobs.size());
+    struct TaskState {
+      bool completed = false;
+      std::set<Tuple> derived;
+      long long derivations = 0;
+      StopReason stop = StopReason::kNone;
+    };
+    std::vector<TaskState> states(static_cast<size_t>(num_tasks));
+    ParallelRegion region(budget, num_tasks);
+    for (int i = 0; i < num_tasks; ++i) {
+      pool_->Submit(region.GuardedTask([&, i] {
+        Budget worker = region.WorkerBudget(i);
+        // Task-exclusive state; TaskDone/Join publish it to the joiner.
+        TaskState& state = states[static_cast<size_t>(i)];
+        const RuleJob& job = jobs[static_cast<size_t>(i)];
+        state.completed =
+            ApplyJob(job, worker, &state.derivations, &state.derived);
+        if (!state.completed) state.stop = worker.Reason();
+        region.TaskDone();
+      }));
+    }
+    // Join waits for the pool to go idle, so the next round may reuse it.
+    const bool external_cancel = region.Join(*pool_);
+    WorkerStopScan scan;
+    for (const TaskState& state : states) {
+      scan.Observe(state.completed, state.stop);
+    }
+    if (scan.AnyIncomplete()) {
+      *stop = scan.StoppedReport(budget, external_cancel).reason;
+      return false;
+    }
+    for (int i = 0; i < num_tasks; ++i) {
+      TaskState& state = states[static_cast<size_t>(i)];
+      *derivations += state.derivations;
+      (*out)[static_cast<size_t>(jobs[static_cast<size_t>(i)].head)].insert(
+          state.derived.begin(), state.derived.end());
     }
     return true;
   }
-  const int num_tasks = static_cast<int>(jobs.size());
-  struct TaskState {
-    bool completed = false;
-    std::set<Tuple> derived;
-    long long derivations = 0;
-    StopReason stop = StopReason::kNone;
-  };
-  std::vector<TaskState> states(static_cast<size_t>(num_tasks));
-  ParallelRegion region(budget, num_tasks);
-  ThreadPool pool(std::min(num_threads, num_tasks));
-  for (int i = 0; i < num_tasks; ++i) {
-    pool.Submit(region.GuardedTask([&, i] {
-      Budget worker = region.WorkerBudget(i);
-      // Task-exclusive state; TaskDone/Join publish it to the joiner.
-      TaskState& state = states[static_cast<size_t>(i)];
-      const RuleJob& job = jobs[static_cast<size_t>(i)];
-      state.completed =
-          ApplyJob(job, worker, &state.derivations, &state.derived);
-      if (!state.completed) state.stop = worker.Reason();
-      region.TaskDone();
-    }));
-  }
-  const bool external_cancel = region.Join(pool);
-  WorkerStopScan scan;
-  for (const TaskState& state : states) {
-    scan.Observe(state.completed, state.stop);
-  }
-  if (scan.AnyIncomplete()) {
-    *stop = scan.StoppedReport(budget, external_cancel).reason;
-    return false;
-  }
-  for (int i = 0; i < num_tasks; ++i) {
-    TaskState& state = states[static_cast<size_t>(i)];
-    *derivations += state.derivations;
-    (*out)[static_cast<size_t>(jobs[static_cast<size_t>(i)].head)].insert(
-        state.derived.begin(), state.derived.end());
-  }
-  return true;
-}
+
+ private:
+  const int num_threads_;
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 Outcome<DatalogResult> StoppedEval(const Budget& budget, StopReason stop) {
   BudgetReport report = budget.Report();
@@ -375,115 +114,84 @@ Outcome<DatalogResult> StoppedEval(const Budget& budget, StopReason stop) {
   return Outcome<DatalogResult>::StoppedShort(report);
 }
 
-// Per-rule engine handles for one evaluation: compiled forms when the
-// indexed engine is selected, rule pointers otherwise.
-struct EvalSetup {
-  std::vector<CompiledRule> compiled;  // empty in scan mode
-  // False when compilation was skipped: the SourcePlan must then resolve
-  // scan-shaped (set-backed) sources, which ApplyRuleScan requires.
-  bool use_compiled = false;
-
-  EvalSetup(const DatalogProgram& program, bool use_index) {
-    // A failed rule compilation (injected via "datalog/compile") leaves
-    // `compiled` empty: every job falls back to the interpretive scan
-    // engine. Same fixpoint, same stage assignment; only the per-round
-    // derivation accounting can differ between the two engines.
-    if (use_index && !HOMPRES_FAILPOINT("datalog/compile")) {
-      compiled = CompileProgram(program);
-      use_compiled = true;
+// One application of the program's operator (Jacobi): every rule against
+// `current`, heads into `next`. False iff the budget stopped it.
+bool ApplyOperator(const DatalogProgram& program,
+                   const std::vector<CompiledRule>& compiled,
+                   const SourcePlan& plan, const IdbInterpretation& current,
+                   Budget& budget, long long* derivations,
+                   IdbInterpretation* next) {
+  next->assign(static_cast<size_t>(program.Idb().NumRelations()), {});
+  for (size_t r = 0; r < program.Rules().size(); ++r) {
+    const DatalogRule& rule = program.Rules()[r];
+    std::vector<JoinSource> sources;
+    for (const DatalogAtom& atom : rule.body) {
+      sources.push_back(plan.Resolve(atom, current));
+    }
+    const int head = program.IdbIndex(rule.head.relation);
+    if (!RuleJoin(compiled[r], sources, budget, derivations)
+             .DeriveInto(&(*next)[static_cast<size_t>(head)])) {
+      return false;
     }
   }
-
-  void Bind(RuleJob* job, const DatalogRule& rule, size_t rule_idx) const {
-    job->rule = &rule;
-    if (!compiled.empty()) job->compiled = &compiled[rule_idx];
-  }
-};
+  return true;
+}
 
 }  // namespace
 
 Outcome<IdbInterpretation> StageBudgeted(const DatalogProgram& program,
                                          const Structure& edb, int m,
-                                         Budget& budget,
-                                         const DatalogEvalOptions& options) {
+                                         Budget& budget) {
   HOMPRES_CHECK_GE(m, 0);
   HOMPRES_CHECK(program.Edb() == edb.GetVocabulary());
-  const EvalSetup setup(program, options.use_index);
-  // Sources must match the engine the jobs will actually run: a failed
-  // compilation degrades the plan to scan-shaped (set-backed) sources.
-  const SourcePlan plan(program, edb, setup.use_compiled);
+  const std::vector<CompiledRule> compiled = CompileProgram(program);
+  const SourcePlan plan(program, edb);
   IdbInterpretation current(
       static_cast<size_t>(program.Idb().NumRelations()));
+  IdbInterpretation next;
   long long derivations = 0;
   for (int step = 0; step < m; ++step) {
-    IdbInterpretation next(
-        static_cast<size_t>(program.Idb().NumRelations()));
-    for (size_t r = 0; r < program.Rules().size(); ++r) {
-      const DatalogRule& rule = program.Rules()[r];
-      const int head = *program.IdbIndexOf(rule.head.relation);
-      RuleJob job;
-      setup.Bind(&job, rule, r);
-      job.head = head;
-      for (const DatalogAtom& atom : rule.body) {
-        job.sources.push_back(plan.Resolve(atom, current));
-      }
-      if (!ApplyJob(job, budget, &derivations,
-                    &next[static_cast<size_t>(head)])) {
-        return Outcome<IdbInterpretation>::StoppedShort(budget.Report());
-      }
+    if (!ApplyOperator(program, compiled, plan, current, budget,
+                       &derivations, &next)) {
+      return Outcome<IdbInterpretation>::StoppedShort(budget.Report());
     }
-    current = std::move(next);
+    current.swap(next);
   }
   return Outcome<IdbInterpretation>::Done(std::move(current),
                                           budget.Report());
 }
 
 IdbInterpretation Stage(const DatalogProgram& program, const Structure& edb,
-                        int m, const DatalogEvalOptions& options) {
+                        int m) {
   Budget unlimited = Budget::Unlimited();
-  return std::move(StageBudgeted(program, edb, m, unlimited, options))
-      .TakeValue();
+  return std::move(StageBudgeted(program, edb, m, unlimited)).TakeValue();
 }
 
-Outcome<DatalogResult> EvaluateNaiveBudgeted(
-    const DatalogProgram& program, const Structure& edb, Budget& budget,
-    const DatalogEvalOptions& options) {
+Outcome<DatalogResult> EvaluateNaiveBudgeted(const DatalogProgram& program,
+                                             const Structure& edb,
+                                             Budget& budget) {
   HOMPRES_CHECK(program.Edb() == edb.GetVocabulary());
-  const EvalSetup setup(program, options.use_index);
-  // Sources must match the engine the jobs will actually run: a failed
-  // compilation degrades the plan to scan-shaped (set-backed) sources.
-  const SourcePlan plan(program, edb, setup.use_compiled);
+  const std::vector<CompiledRule> compiled = CompileProgram(program);
+  const SourcePlan plan(program, edb);
   DatalogResult result;
   result.idb.assign(static_cast<size_t>(program.Idb().NumRelations()), {});
+  IdbInterpretation next;
   for (;;) {
-    IdbInterpretation next(
-        static_cast<size_t>(program.Idb().NumRelations()));
-    for (size_t r = 0; r < program.Rules().size(); ++r) {
-      const DatalogRule& rule = program.Rules()[r];
-      const int head = *program.IdbIndexOf(rule.head.relation);
-      RuleJob job;
-      setup.Bind(&job, rule, r);
-      job.head = head;
-      for (const DatalogAtom& atom : rule.body) {
-        job.sources.push_back(plan.Resolve(atom, result.idb));
-      }
-      if (!ApplyJob(job, budget, &result.derivations,
-                    &next[static_cast<size_t>(head)])) {
-        return Outcome<DatalogResult>::StoppedShort(budget.Report());
-      }
+    if (!ApplyOperator(program, compiled, plan, result.idb, budget,
+                       &result.derivations, &next)) {
+      return Outcome<DatalogResult>::StoppedShort(budget.Report());
     }
     if (next == result.idb) break;
-    result.idb = std::move(next);
+    result.idb.swap(next);
     ++result.stages;
   }
   return Outcome<DatalogResult>::Done(std::move(result), budget.Report());
 }
 
 DatalogResult EvaluateNaive(const DatalogProgram& program,
-                            const Structure& edb,
-                            const DatalogEvalOptions& options) {
+                            const Structure& edb) {
   Budget unlimited = Budget::Unlimited();
-  return std::move(EvaluateNaiveBudgeted(program, edb, unlimited, options))
+  return std::move(EvaluateNaiveBudgeted(program, edb, unlimited))
       .TakeValue();
 }
 
@@ -491,41 +199,38 @@ Outcome<DatalogResult> EvaluateSemiNaiveBudgeted(
     const DatalogProgram& program, const Structure& edb, Budget& budget,
     const DatalogEvalOptions& options) {
   HOMPRES_CHECK(program.Edb() == edb.GetVocabulary());
-  const EvalSetup setup(program, options.use_index);
-  // Sources must match the engine the jobs will actually run: a failed
-  // compilation degrades the plan to scan-shaped (set-backed) sources.
-  const SourcePlan plan(program, edb, setup.use_compiled);
+  const std::vector<CompiledRule> compiled = CompileProgram(program);
+  const SourcePlan plan(program, edb);
   const size_t idb_count =
       static_cast<size_t>(program.Idb().NumRelations());
   DatalogResult result;
   result.idb.assign(idb_count, {});
   StopReason stop = StopReason::kNone;
 
-  // Round 1: plain application against the empty IDB (fires the EDB-only
-  // rules).
+  // Round 1 runs the EDB-only rules; every later round one job per IDB
+  // body position.
+  std::vector<RuleJob> jobs;
+  size_t idb_positions = 0;
+  for (size_t r = 0; r < program.Rules().size(); ++r) {
+    const DatalogRule& rule = program.Rules()[r];
+    size_t idb_atoms = 0;
+    for (const DatalogAtom& atom : rule.body) {
+      idb_atoms += program.IdbIndexOf(atom.relation).has_value() ? 1 : 0;
+    }
+    idb_positions += idb_atoms;
+    if (idb_atoms > 0) continue;  // needs IDB facts; none yet
+    RuleJob& job = jobs.emplace_back();
+    job.rule = &compiled[r];
+    job.head = program.IdbIndex(rule.head.relation);
+    for (const DatalogAtom& atom : rule.body) {
+      job.sources.push_back(plan.Resolve(atom, result.idb));
+    }
+  }
+  RoundRunner runner(options.num_threads,
+                     static_cast<int>(std::max(jobs.size(), idb_positions)));
   IdbInterpretation delta(idb_count);
-  {
-    std::vector<RuleJob> jobs;
-    for (size_t r = 0; r < program.Rules().size(); ++r) {
-      const DatalogRule& rule = program.Rules()[r];
-      bool has_idb_atom = false;
-      for (const DatalogAtom& atom : rule.body) {
-        has_idb_atom |= program.IdbIndexOf(atom.relation).has_value();
-      }
-      if (has_idb_atom) continue;  // needs IDB facts; none yet
-      RuleJob job;
-      setup.Bind(&job, rule, r);
-      job.head = *program.IdbIndexOf(rule.head.relation);
-      for (const DatalogAtom& atom : rule.body) {
-        job.sources.push_back(
-            plan.EdbSource(*program.Edb().IndexOf(atom.relation)));
-      }
-      jobs.push_back(std::move(job));
-    }
-    if (!RunRuleJobs(jobs, budget, options.num_threads, &result.derivations,
-                     &delta, &stop)) {
-      return StoppedEval(budget, stop);
-    }
+  if (!runner.Run(jobs, budget, &result.derivations, &delta, &stop)) {
+    return StoppedEval(budget, stop);
   }
 
   bool any_delta = false;
@@ -541,32 +246,27 @@ Outcome<DatalogResult> EvaluateSemiNaiveBudgeted(
     // jobs only read delta / result.idb / the EDB sources, none of which
     // change until the round's jobs have all completed.
     IdbInterpretation derived(idb_count);
-    std::vector<RuleJob> jobs;
+    jobs.clear();
     for (size_t r = 0; r < program.Rules().size(); ++r) {
       const DatalogRule& rule = program.Rules()[r];
-      const int head = *program.IdbIndexOf(rule.head.relation);
+      const int head = program.IdbIndex(rule.head.relation);
       for (size_t delta_position = 0; delta_position < rule.body.size();
            ++delta_position) {
         const auto idb_index =
             program.IdbIndexOf(rule.body[delta_position].relation);
         if (!idb_index.has_value()) continue;
-        RuleJob job;
-        setup.Bind(&job, rule, r);
+        RuleJob& job = jobs.emplace_back();
+        job.rule = &compiled[r];
         job.head = head;
         for (size_t i = 0; i < rule.body.size(); ++i) {
-          const DatalogAtom& atom = rule.body[i];
-          if (i == delta_position) {
-            job.sources.push_back(SourcePlan::IdbSource(
-                delta[static_cast<size_t>(*idb_index)]));
-          } else {
-            job.sources.push_back(plan.Resolve(atom, result.idb));
-          }
+          job.sources.push_back(
+              i == delta_position
+                  ? SetSource(delta[static_cast<size_t>(*idb_index)])
+                  : plan.Resolve(rule.body[i], result.idb));
         }
-        jobs.push_back(std::move(job));
       }
     }
-    if (!RunRuleJobs(jobs, budget, options.num_threads, &result.derivations,
-                     &derived, &stop)) {
+    if (!runner.Run(jobs, budget, &result.derivations, &derived, &stop)) {
       return StoppedEval(budget, stop);
     }
     // New facts only.

@@ -3,23 +3,18 @@
 // m+1 applies the operator to stage m simultaneously (Jacobi iteration),
 // so stage counts line up with the formulas of Theorem 7.1.
 //
-// Two rule-body engines sit underneath every entry point:
-//
-//   * compiled + indexed (default): each rule is compiled once per
-//     evaluation — variable names resolved to dense integer slots (no
-//     per-join-node string maps), body atoms greedily reordered so atoms
-//     with the most bound positions join first, inequality constraints
-//     checked the moment both sides are bound — and bound-position atoms
-//     are answered with index lookups (bound-prefix ranges on the sorted
-//     EDB/IDB tuple stores, inverted lists on the EDB) instead of full
-//     scans. The derived facts, fixpoints, and stage counts are identical
-//     to the scan engine; only the number of assignments visited (the
-//     `derivations` work measure, = budget steps) shrinks.
-//
-//   * interpretive scan (options.use_index = false): the original
-//     evaluator, kept bit-identical (including its derivation counts) as
-//     the baseline for the differential tests and the indexed-vs-scan
-//     benches (E10).
+// Every entry point runs the one rule-body executor of
+// datalog/rule_eval.h: each rule is compiled once per evaluation —
+// variable names resolved to dense integer slots, body atoms greedily
+// reordered so atoms with the most bound positions join first, inequality
+// constraints checked the moment both sides are bound — and bound-position
+// atoms are answered with bound-prefix ranges on the sorted tuple stores
+// and, for EDB relations, the shortest inverted list of the structure's
+// RelationIndex. When the index cannot be built (Structure::TryIndex
+// returns null) EDB atoms fall back to binary-searched prefix ranges on
+// the sorted vectors: the same fixpoint and stages, more assignments
+// visited. The `derivations` work measure (= budget steps) counts the
+// candidate tuples visited.
 
 #ifndef HOMPRES_DATALOG_EVAL_H_
 #define HOMPRES_DATALOG_EVAL_H_
@@ -43,10 +38,6 @@ struct DatalogEvalOptions {
   // are identical to the serial run for any thread count.
   int num_threads = 0;
 
-  // Use the compiled/indexed rule engine (see the header comment). Off =
-  // the original interpretive scan evaluator.
-  bool use_index = true;
-
   DatalogEvalOptions() = default;
   // Implicit so existing `EvaluateSemiNaive(program, edb, 3)` call sites
   // keep reading as a thread count.
@@ -58,43 +49,39 @@ struct DatalogResult {
   // Smallest m with stage(m) == stage(m+1) (m_0 in the paper's notation).
   int stages = 0;
   // Total rule-body assignments enumerated (work measure for benches).
-  // The indexed engine visits fewer assignments than the scan engine for
-  // the same fixpoint, so compare counts only within one engine.
   long long derivations = 0;
 };
 
 // The m-th stage Phi^m of the program's operator on `edb` (m >= 0).
 IdbInterpretation Stage(const DatalogProgram& program, const Structure& edb,
-                        int m, const DatalogEvalOptions& options = {});
+                        int m);
 
 // Budgeted stage computation (one step per rule-body assignment
 // enumerated).
 Outcome<IdbInterpretation> StageBudgeted(const DatalogProgram& program,
                                          const Structure& edb, int m,
-                                         Budget& budget,
-                                         const DatalogEvalOptions& options = {});
+                                         Budget& budget);
 
 // Least fixpoint by naive iteration.
 DatalogResult EvaluateNaive(const DatalogProgram& program,
-                            const Structure& edb,
-                            const DatalogEvalOptions& options = {});
+                            const Structure& edb);
 
 // Budgeted naive fixpoint: Done(result) only when the fixpoint was
 // reached; Exhausted/Cancelled mean evaluation stopped mid-iteration and
 // no (partial) interpretation is claimed.
-Outcome<DatalogResult> EvaluateNaiveBudgeted(
-    const DatalogProgram& program, const Structure& edb, Budget& budget,
-    const DatalogEvalOptions& options = {});
+Outcome<DatalogResult> EvaluateNaiveBudgeted(const DatalogProgram& program,
+                                             const Structure& edb,
+                                             Budget& budget);
 
 // Least fixpoint by semi-naive (delta) iteration; produces the same
 // relations and stage count, typically with far fewer derivations.
 //
 // With options.num_threads > 0 the rule-body evaluations of each round —
 // one job per (rule, delta position) pair — fan out over a work-stealing
-// pool, each job deriving into its own tuple set, merged after the round.
-// The fixpoint, stage count and derivation total are identical to the
-// serial evaluation (every job enumerates the same assignments either
-// way).
+// pool (created once per evaluation), each job deriving into its own
+// tuple set, merged after the round. The fixpoint, stage count and
+// derivation total are identical to the serial evaluation (every job
+// enumerates the same assignments either way).
 DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb,
                                 const DatalogEvalOptions& options = {});

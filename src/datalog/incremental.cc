@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <span>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -11,245 +11,10 @@
 #include "base/failpoint.h"
 #include "datalog/stages.h"
 #include "opt/optimizer.h"
-#include "structure/relation_index.h"
 
 namespace hompres {
 
 namespace {
-
-// --- Adjusted tuple sources ---------------------------------------------
-
-// One tuple store a body atom joins against during maintenance: a tuple
-// set (IDB interpretations, delta sets) or a sorted EDB vector with an
-// optional RelationIndex accelerator. The effective store is
-// (primary - minus) + plus, with plus disjoint from primary — which
-// rewinds a post-delta store to its pre-delta value (or narrows it)
-// without materializing a copy.
-struct Src {
-  const std::set<Tuple>* set = nullptr;
-  const std::vector<Tuple>* vec = nullptr;
-  const RelationIndex* index = nullptr;  // may be null even with vec
-  int rel = -1;
-  const std::set<Tuple>* minus = nullptr;
-  const std::set<Tuple>* plus = nullptr;
-};
-
-Src EdbSrc(const Structure& base, int rel, const RelationIndex* index,
-           const std::set<Tuple>* minus = nullptr,
-           const std::set<Tuple>* plus = nullptr) {
-  Src s;
-  s.vec = &base.Tuples(rel);
-  s.index = index;
-  s.rel = rel;
-  s.minus = minus;
-  s.plus = plus;
-  return s;
-}
-
-Src SetSrc(const std::set<Tuple>& set,
-           const std::set<Tuple>* minus = nullptr,
-           const std::set<Tuple>* plus = nullptr) {
-  Src s;
-  s.set = &set;
-  s.minus = minus;
-  s.plus = plus;
-  return s;
-}
-
-// The maintenance join: the compiled enumeration of datalog/eval.cc
-// extended with adjusted sources and three output modes — derive heads
-// into a set, accumulate signed derivation counts (the counting
-// strategy's inclusion-exclusion terms), or probe whether one pre-bound
-// head has any derivation (DRed rederivation, early exit at the first
-// witness). Unbudgeted: maintenance work is measured, not limited. Each
-// satisfying combination of source tuples is visited exactly once, so
-// CountInto's per-head totals are exact derivation counts under any atom
-// order; callers pick the order that starts where the join is narrowest
-// (MaintenanceOrders: the delta position, or the pre-bound head).
-class DeltaJoin {
- public:
-  DeltaJoin(const CompiledRule& rule, const std::vector<Src>& sources,
-            long long* derivations)
-      : rule_(rule), sources_(sources), derivations_(derivations) {
-    binding_.assign(static_cast<size_t>(rule_.num_slots), -1);
-    added_.resize(rule_.atoms.size());
-    for (size_t i = 0; i < rule_.atoms.size(); ++i) {
-      added_[i].reserve(rule_.atoms[i].slots.size());
-    }
-  }
-
-  void DeriveInto(std::set<Tuple>* out) {
-    out_ = out;
-    Join(0);
-  }
-
-  void CountInto(std::map<Tuple, long long>* counts, long long weight) {
-    counts_ = counts;
-    weight_ = weight;
-    Join(0);
-  }
-
-  // True iff some body assignment derives exactly `head`.
-  bool Exists(const Tuple& head) {
-    HOMPRES_CHECK_EQ(head.size(), rule_.head_slots.size());
-    exists_ = true;
-    for (size_t j = 0; j < head.size(); ++j) {
-      const size_t s = static_cast<size_t>(rule_.head_slots[j]);
-      // A repeated head variable bound to two different values cannot
-      // be produced by this rule at all.
-      if (binding_[s] != -1 && binding_[s] != head[j]) return false;
-      binding_[s] = head[j];
-    }
-    Join(0);
-    return found_;
-  }
-
- private:
-  bool Emit() {
-    if (exists_) {
-      found_ = true;
-      return false;  // unwind: one witness is enough
-    }
-    Tuple head;
-    head.reserve(rule_.head_slots.size());
-    for (int s : rule_.head_slots) {
-      head.push_back(binding_[static_cast<size_t>(s)]);
-    }
-    if (counts_ != nullptr) {
-      (*counts_)[std::move(head)] += weight_;
-    } else {
-      out_->insert(std::move(head));
-    }
-    return true;
-  }
-
-  bool Visit(size_t idx, const Tuple& t) {
-    ++*derivations_;
-    const CompiledAtom& atom = rule_.atoms[idx];
-    bool consistent = true;
-    std::vector<int>& added = added_[idx];
-    added.clear();
-    for (size_t j = 0; j < atom.slots.size(); ++j) {
-      const size_t s = static_cast<size_t>(atom.slots[j]);
-      if (binding_[s] == -1) {
-        binding_[s] = t[j];
-        added.push_back(static_cast<int>(s));
-      } else if (binding_[s] != t[j]) {
-        consistent = false;
-        break;
-      }
-    }
-    if (consistent) {
-      for (const auto& [l, r] : rule_.ineqs_after[idx]) {
-        if (binding_[static_cast<size_t>(l)] ==
-            binding_[static_cast<size_t>(r)]) {
-          consistent = false;
-          break;
-        }
-      }
-    }
-    bool ok = true;
-    if (consistent) ok = Join(idx + 1);
-    for (int s : added) binding_[static_cast<size_t>(s)] = -1;
-    return ok;
-  }
-
-  bool ScanSet(size_t idx, const std::set<Tuple>& store, const Tuple& prefix,
-               const std::set<Tuple>* minus) {
-    auto it = prefix.empty() ? store.begin() : store.lower_bound(prefix);
-    for (; it != store.end(); ++it) {
-      if (!prefix.empty() &&
-          !std::equal(prefix.begin(), prefix.end(), it->begin())) {
-        break;
-      }
-      if (minus != nullptr && minus->count(*it) != 0) continue;
-      if (!Visit(idx, *it)) return false;
-    }
-    return true;
-  }
-
-  bool ScanVec(size_t idx, const Src& src, const Tuple& prefix,
-               const std::vector<int>& slots) {
-    const std::vector<Tuple>& tuples = *src.vec;
-    const auto visit_id = [&](int id) {
-      const Tuple& t = tuples[static_cast<size_t>(id)];
-      if (src.minus != nullptr && src.minus->count(t) != 0) return true;
-      return Visit(idx, t);
-    };
-    if (src.index != nullptr) {
-      const auto [lo, hi] = src.index->PrefixRange(src.rel, prefix);
-      std::span<const int> ids;
-      bool use_ids = false;
-      size_t best = static_cast<size_t>(hi - lo);
-      for (size_t j = prefix.size(); j < slots.size(); ++j) {
-        const int v = binding_[static_cast<size_t>(slots[j])];
-        if (v < 0) continue;
-        const auto list =
-            src.index->TuplesAt(src.rel, static_cast<int>(j), v);
-        if (list.size() < best) {
-          best = list.size();
-          ids = list;
-          use_ids = true;
-        }
-      }
-      if (use_ids) {
-        for (int id : ids) {
-          if (!visit_id(id)) return false;
-        }
-      } else {
-        for (int id = lo; id < hi; ++id) {
-          if (!visit_id(id)) return false;
-        }
-      }
-      return true;
-    }
-    // No index: manual bound-prefix range over the sorted vector.
-    auto it = prefix.empty()
-                  ? tuples.begin()
-                  : std::lower_bound(tuples.begin(), tuples.end(), prefix);
-    for (; it != tuples.end(); ++it) {
-      if (!prefix.empty() &&
-          !std::equal(prefix.begin(), prefix.end(), it->begin())) {
-        break;
-      }
-      if (src.minus != nullptr && src.minus->count(*it) != 0) continue;
-      if (!Visit(idx, *it)) return false;
-    }
-    return true;
-  }
-
-  bool Join(size_t idx) {
-    if (idx == rule_.atoms.size()) return Emit();
-    const CompiledAtom& atom = rule_.atoms[idx];
-    const Src& src = sources_[static_cast<size_t>(atom.body_pos)];
-    Tuple prefix;
-    for (size_t j = 0; j < atom.slots.size(); ++j) {
-      const int v = binding_[static_cast<size_t>(atom.slots[j])];
-      if (v < 0) break;
-      prefix.push_back(v);
-    }
-    if (src.set != nullptr) {
-      if (!ScanSet(idx, *src.set, prefix, src.minus)) return false;
-    } else {
-      if (!ScanVec(idx, src, prefix, atom.slots)) return false;
-    }
-    if (src.plus != nullptr) {
-      if (!ScanSet(idx, *src.plus, prefix, nullptr)) return false;
-    }
-    return true;
-  }
-
-  const CompiledRule& rule_;
-  const std::vector<Src>& sources_;
-  long long* derivations_;
-  std::set<Tuple>* out_ = nullptr;
-  std::map<Tuple, long long>* counts_ = nullptr;
-  long long weight_ = 1;
-  bool exists_ = false;
-  bool found_ = false;
-  std::vector<int> binding_;
-  std::vector<std::vector<int>> added_;  // per-depth unbind scratch
-};
 
 // IDB dependency order: edge q -> p when a rule with head p reads q in
 // its body. Kahn's algorithm; false (and an unspecified partial order)
@@ -259,7 +24,7 @@ bool TopoOrderIdb(const DatalogProgram& program, std::vector<int>* order) {
   std::vector<std::set<int>> succs(static_cast<size_t>(n));
   std::vector<int> indegree(static_cast<size_t>(n), 0);
   for (const DatalogRule& rule : program.Rules()) {
-    const int p = *program.IdbIndexOf(rule.head.relation);
+    const int p = program.IdbIndex(rule.head.relation);
     for (const DatalogAtom& atom : rule.body) {
       const auto q = program.IdbIndexOf(atom.relation);
       if (!q.has_value()) continue;
@@ -432,7 +197,7 @@ MaterializedView::MaterializedView(DatalogProgram program, Structure base,
   }
   for (const DatalogRule& rule : Rules()) {
     compiled_.push_back(CompileMaintenanceOrders(rule));
-    rule_heads_.push_back(*program_.IdbIndexOf(rule.head.relation));
+    rule_heads_.push_back(program_.IdbIndex(rule.head.relation));
   }
 
   counting_state_ =
@@ -457,25 +222,18 @@ const std::set<Tuple>& MaterializedView::IdbRelation(int idb_index) const {
 // Full evaluation of the (non-recursive) rule set that also (re)builds the
 // counts: one counting join per rule, IDBs in dependency order.
 void MaterializedView::FullCountingEval(long long* derivations) {
-  const RelationIndex* index = base_.TryIndex();
+  const SourcePlan plan(program_, base_);
+  Budget unlimited = Budget::Unlimited();
   for (auto& counts : counts_) counts.clear();
   for (auto& set : idb_) set.clear();
   for (int p : topo_) {
     for (size_t r = 0; r < Rules().size(); ++r) {
       if (rule_heads_[r] != p) continue;
-      const DatalogRule& rule = Rules()[r];
-      std::vector<Src> sources;
-      sources.reserve(rule.body.size());
-      for (const DatalogAtom& atom : rule.body) {
-        if (const auto e = program_.Edb().IndexOf(atom.relation);
-            e.has_value()) {
-          sources.push_back(EdbSrc(base_, *e, index));
-        } else {
-          sources.push_back(SetSrc(
-              idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]));
-        }
+      std::vector<JoinSource> sources;
+      for (const DatalogAtom& atom : Rules()[r].body) {
+        sources.push_back(plan.Resolve(atom, idb_));
       }
-      DeltaJoin(compiled_[r].full, sources, derivations)
+      RuleJoin(compiled_[r].full, sources, unlimited, derivations)
           .CountInto(&counts_[static_cast<size_t>(p)], 1);
     }
     auto& set = idb_[static_cast<size_t>(p)];
@@ -577,8 +335,10 @@ void MaterializedView::Refixpoint(ViewMaintenanceStats* stats) {
 void MaterializedView::MaintainCounting(const NetDelta& net,
                                         ViewMaintenanceStats* stats) {
   const size_t idb_count = idb_.size();
-  const RelationIndex* index = base_.TryIndex();
-  std::vector<std::set<Tuple>> idb_ins(idb_count), idb_rem(idb_count);
+  const SourcePlan plan(program_, base_);
+  Budget unlimited = Budget::Unlimited();
+  std::vector<std::set<Tuple>> idb_ins(idb_count);
+  std::vector<std::set<Tuple>> idb_rem(idb_count);
 
   const auto delta_sets = [&](const DatalogAtom& atom)
       -> std::pair<const std::set<Tuple>*, const std::set<Tuple>*> {
@@ -587,31 +347,9 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
       return {&net.ins[static_cast<size_t>(*e)],
               &net.rem[static_cast<size_t>(*e)]};
     }
-    const int q = *program_.IdbIndexOf(atom.relation);
+    const int q = program_.IdbIndex(atom.relation);
     return {&idb_ins[static_cast<size_t>(q)],
             &idb_rem[static_cast<size_t>(q)]};
-  };
-  const auto new_src = [&](const DatalogAtom& atom) -> Src {
-    if (const auto e = program_.Edb().IndexOf(atom.relation);
-        e.has_value()) {
-      return EdbSrc(base_, *e, index);
-    }
-    return SetSrc(
-        idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]);
-  };
-  const auto old_src = [&](const DatalogAtom& atom) -> Src {
-    // Rewind the post-delta store: hide what the delta inserted, re-add
-    // what it removed.
-    const auto [ins, rem] = delta_sets(atom);
-    const std::set<Tuple>* minus = ins->empty() ? nullptr : ins;
-    const std::set<Tuple>* plus = rem->empty() ? nullptr : rem;
-    if (const auto e = program_.Edb().IndexOf(atom.relation);
-        e.has_value()) {
-      return EdbSrc(base_, *e, index, minus, plus);
-    }
-    return SetSrc(
-        idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))],
-        minus, plus);
   };
 
   for (int p : topo_) {
@@ -625,19 +363,19 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
         const long long weights[2] = {1, -1};
         for (int d = 0; d < 2; ++d) {
           if (deltas[d]->empty()) continue;
-          std::vector<Src> sources;
-          sources.reserve(rule.body.size());
+          std::vector<JoinSource> sources;
           for (size_t j = 0; j < rule.body.size(); ++j) {
-            if (j < i) {
-              sources.push_back(new_src(rule.body[j]));
-            } else if (j == i) {
-              sources.push_back(SetSrc(*deltas[d]));
-            } else {
-              sources.push_back(old_src(rule.body[j]));
+            const DatalogAtom& atom = rule.body[j];
+            JoinSource src = j == i ? SetSource(*deltas[d])
+                                    : plan.Resolve(atom, idb_);
+            if (j > i) {  // the old state: rewind the delta
+              const auto [ins, rem] = delta_sets(atom);
+              src = Rewound(src, *ins, *rem);
             }
+            sources.push_back(src);
           }
-          DeltaJoin(compiled_[r].from_delta[i], sources,
-                    &stats->derivations)
+          RuleJoin(compiled_[r].from_delta[i], sources, unlimited,
+                   &stats->derivations)
               .CountInto(&delta_counts, weights[d]);
         }
       }
@@ -671,84 +409,75 @@ void MaterializedView::MaintainCounting(const NetDelta& net,
   }
 }
 
-// Semi-naive maintenance under insertion: rounds seeded by the inserted
-// EDB tuples, every non-delta position reading the full current state.
-// Over-derivation of already-known facts is harmless under set
+// Semi-naive frontier rounds over Rules(), every non-delta position
+// reading the current state (base_ and idb_): the seed round joins each
+// EDB body position against seeds[rel], each later round each IDB body
+// position against the facts the round before admitted. `admit(p, t)`
+// decides whether derived fact t of IDB p is new, recording it if so;
+// idb_ must not change before the round's joins are done, so admission
+// runs after them.
+void MaterializedView::FrontierFixpoint(
+    const std::vector<std::set<Tuple>>& seeds,
+    const std::function<bool(size_t, const Tuple&)>& admit,
+    ViewMaintenanceStats* stats) {
+  const size_t idb_count = idb_.size();
+  const SourcePlan plan(program_, base_);
+  Budget unlimited = Budget::Unlimited();
+  IdbInterpretation frontier(idb_count);
+  bool any = true;
+  for (bool seed = true; any; seed = false) {
+    if (!seed) ++stats->rounds;
+    IdbInterpretation derived(idb_count);
+    for (size_t r = 0; r < Rules().size(); ++r) {
+      const DatalogRule& rule = Rules()[r];
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const std::string& relation = rule.body[i].relation;
+        const auto e = program_.Edb().IndexOf(relation);
+        if (e.has_value() != seed) continue;
+        const std::set<Tuple>& delta =
+            seed ? seeds[static_cast<size_t>(*e)]
+                 : frontier[static_cast<size_t>(
+                       program_.IdbIndex(relation))];
+        if (delta.empty()) continue;
+        std::vector<JoinSource> sources;
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          sources.push_back(j == i ? SetSource(delta)
+                                   : plan.Resolve(rule.body[j], idb_));
+        }
+        RuleJoin(compiled_[r].from_delta[i], sources, unlimited,
+                 &stats->derivations)
+            .DeriveInto(&derived[static_cast<size_t>(rule_heads_[r])]);
+      }
+    }
+    any = false;
+    for (size_t p = 0; p < idb_count; ++p) {
+      frontier[p].clear();
+      for (const Tuple& t : derived[p]) {
+        if (admit(p, t)) {
+          frontier[p].insert(t);
+          any = true;
+        }
+      }
+    }
+  }
+}
+
+// Semi-naive maintenance under insertion, seeded by the inserted EDB
+// tuples. Over-derivation of already-known facts is harmless under set
 // semantics; completeness holds because every genuinely new derivation
 // uses at least one delta fact at some position, and that position's job
 // finds it the round after the fact appeared.
 void MaterializedView::DeltaInsert(
     const std::vector<std::set<Tuple>>& edb_ins,
     ViewMaintenanceStats* stats) {
-  const size_t idb_count = idb_.size();
-  const RelationIndex* index = base_.TryIndex();
-  const auto full_src = [&](const DatalogAtom& atom) -> Src {
-    if (const auto e = program_.Edb().IndexOf(atom.relation);
-        e.has_value()) {
-      return EdbSrc(base_, *e, index);
-    }
-    return SetSrc(
-        idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]);
-  };
-  const auto run = [&](size_t r, size_t delta_pos,
-                       const std::set<Tuple>& dset,
-                       IdbInterpretation* out) {
-    const DatalogRule& rule = Rules()[r];
-    std::vector<Src> sources;
-    sources.reserve(rule.body.size());
-    for (size_t j = 0; j < rule.body.size(); ++j) {
-      sources.push_back(j == delta_pos ? SetSrc(dset)
-                                       : full_src(rule.body[j]));
-    }
-    DeltaJoin(compiled_[r].from_delta[delta_pos], sources,
-              &stats->derivations)
-        .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
-  };
-
-  IdbInterpretation delta(idb_count);
-  bool any = false;
-  const auto absorb = [&](const IdbInterpretation& derived) {
-    any = false;
-    for (size_t p = 0; p < idb_count; ++p) {
-      delta[p].clear();
-      for (const Tuple& t : derived[p]) {
-        if (idb_[p].insert(t).second) {
-          delta[p].insert(t);
-          ++stats->idb_inserted;
-          any = true;
-        }
-      }
-    }
-  };
-
-  // Seed round: the inserted tuples at each matching body position.
-  IdbInterpretation seeded(idb_count);
-  for (size_t r = 0; r < Rules().size(); ++r) {
-    const DatalogRule& rule = Rules()[r];
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      const auto e = program_.Edb().IndexOf(rule.body[i].relation);
-      if (!e.has_value()) continue;
-      const auto& inserted = edb_ins[static_cast<size_t>(*e)];
-      if (inserted.empty()) continue;
-      run(r, i, inserted, &seeded);
-    }
-  }
-  absorb(seeded);
-  while (any) {
-    ++stats->rounds;
-    IdbInterpretation derived(idb_count);
-    for (size_t r = 0; r < Rules().size(); ++r) {
-      const DatalogRule& rule = Rules()[r];
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const auto q = program_.IdbIndexOf(rule.body[i].relation);
-        if (!q.has_value()) continue;
-        const auto& frontier = delta[static_cast<size_t>(*q)];
-        if (frontier.empty()) continue;
-        run(r, i, frontier, &derived);
-      }
-    }
-    absorb(derived);
-  }
+  FrontierFixpoint(
+      edb_ins,
+      [&](size_t p, const Tuple& t) {
+        if (!idb_[p].insert(t).second) return false;
+        ++stats->idb_inserted;
+        return true;
+      },
+      stats);
 }
 
 // DRed (recursive programs with deletions), in stages:
@@ -771,76 +500,14 @@ void MaterializedView::DRed(const NetDelta& net,
   }
 
   std::vector<std::set<Tuple>> overdeleted(idb_count);
-  {
-    const RelationIndex* index = base_.TryIndex();
-    const auto old_src = [&](const DatalogAtom& atom) -> Src {
-      if (const auto e = program_.Edb().IndexOf(atom.relation);
-          e.has_value()) {
-        return EdbSrc(base_, *e, index);
-      }
-      return SetSrc(
-          idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]);
-    };
-    const auto run = [&](size_t r, size_t delta_pos,
-                         const std::set<Tuple>& dset,
-                         IdbInterpretation* out) {
-      const DatalogRule& rule = Rules()[r];
-      std::vector<Src> sources;
-      sources.reserve(rule.body.size());
-      for (size_t j = 0; j < rule.body.size(); ++j) {
-        sources.push_back(j == delta_pos ? SetSrc(dset)
-                                         : old_src(rule.body[j]));
-      }
-      DeltaJoin(compiled_[r].from_delta[delta_pos], sources,
-                &stats->derivations)
-          .DeriveInto(&(*out)[static_cast<size_t>(rule_heads_[r])]);
-    };
-
-    std::vector<std::set<Tuple>> frontier(idb_count);
-    bool any = false;
-    const auto absorb = [&](const IdbInterpretation& derived) {
-      any = false;
-      for (size_t p = 0; p < idb_count; ++p) {
-        frontier[p].clear();
-        for (const Tuple& t : derived[p]) {
-          if (idb_[p].count(t) != 0 && overdeleted[p].insert(t).second) {
-            frontier[p].insert(t);
-            any = true;
-          }
-        }
-      }
-    };
-
-    IdbInterpretation seeded(idb_count);
-    for (size_t r = 0; r < Rules().size(); ++r) {
-      const DatalogRule& rule = Rules()[r];
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const auto e = program_.Edb().IndexOf(rule.body[i].relation);
-        if (!e.has_value()) continue;
-        const auto& removed = net.rem[static_cast<size_t>(*e)];
-        if (removed.empty()) continue;
-        run(r, i, removed, &seeded);
-      }
-    }
-    absorb(seeded);
-    while (any) {
-      ++stats->rounds;
-      IdbInterpretation derived(idb_count);
-      for (size_t r = 0; r < Rules().size(); ++r) {
-        const DatalogRule& rule = Rules()[r];
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          const auto q = program_.IdbIndexOf(rule.body[i].relation);
-          if (!q.has_value()) continue;
-          const auto& front = frontier[static_cast<size_t>(*q)];
-          if (front.empty()) continue;
-          run(r, i, front, &derived);
-        }
-      }
-      absorb(derived);
-    }
-    for (size_t p = 0; p < idb_count; ++p) {
-      for (const Tuple& t : overdeleted[p]) idb_[p].erase(t);
-    }
+  FrontierFixpoint(
+      net.rem,
+      [&](size_t p, const Tuple& t) {
+        return idb_[p].count(t) != 0 && overdeleted[p].insert(t).second;
+      },
+      stats);
+  for (size_t p = 0; p < idb_count; ++p) {
+    for (const Tuple& t : overdeleted[p]) idb_[p].erase(t);
   }
 
   if (net.removed > 0) {
@@ -893,22 +560,15 @@ void MaterializedView::DRed(const NetDelta& net,
 
 bool MaterializedView::ExistsDerivation(int idb_index, const Tuple& fact,
                                         long long* derivations) const {
-  const RelationIndex* index = base_.TryIndex();
+  const SourcePlan plan(program_, base_);
+  Budget unlimited = Budget::Unlimited();
   for (size_t r = 0; r < Rules().size(); ++r) {
     if (rule_heads_[r] != idb_index) continue;
-    const DatalogRule& rule = Rules()[r];
-    std::vector<Src> sources;
-    sources.reserve(rule.body.size());
-    for (const DatalogAtom& atom : rule.body) {
-      if (const auto e = program_.Edb().IndexOf(atom.relation);
-          e.has_value()) {
-        sources.push_back(EdbSrc(base_, *e, index));
-      } else {
-        sources.push_back(SetSrc(
-            idb_[static_cast<size_t>(*program_.IdbIndexOf(atom.relation))]));
-      }
+    std::vector<JoinSource> sources;
+    for (const DatalogAtom& atom : Rules()[r].body) {
+      sources.push_back(plan.Resolve(atom, idb_));
     }
-    if (DeltaJoin(compiled_[r].head_bound, sources, derivations)
+    if (RuleJoin(compiled_[r].head_bound, sources, unlimited, derivations)
             .Exists(fact)) {
       return true;
     }

@@ -51,6 +51,7 @@
 #define HOMPRES_DATALOG_INCREMENTAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -158,6 +159,9 @@ class MaterializedView {
   void FullCountingEval(long long* derivations);
   void Refixpoint(ViewMaintenanceStats* stats);
   void MaintainCounting(const NetDelta& net, ViewMaintenanceStats* stats);
+  void FrontierFixpoint(const std::vector<std::set<Tuple>>& seeds,
+                        const std::function<bool(size_t, const Tuple&)>& admit,
+                        ViewMaintenanceStats* stats);
   void DeltaInsert(const std::vector<std::set<Tuple>>& edb_ins,
                    ViewMaintenanceStats* stats);
   void DRed(const NetDelta& net, ViewMaintenanceStats* stats);

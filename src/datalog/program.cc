@@ -44,6 +44,12 @@ DatalogProgram::DatalogProgram(Vocabulary edb, std::vector<DatalogRule> rules)
   }
 }
 
+int DatalogProgram::IdbIndex(const std::string& name) const {
+  const std::optional<int> index = idb_.IndexOf(name);
+  HOMPRES_CHECK(index.has_value());
+  return *index;
+}
+
 bool DatalogProgram::HasInequalities() const {
   for (const DatalogRule& rule : rules_) {
     if (!rule.inequalities.empty()) return true;

@@ -57,6 +57,10 @@ class DatalogProgram {
     return idb_.IndexOf(name);
   }
 
+  // Index of an IDB predicate the program defines (a rule head, or a
+  // body atom that names no EDB relation); CHECK-fails otherwise.
+  int IdbIndex(const std::string& name) const;
+
   // True iff some rule carries an inequality constraint (Datalog(≠)).
   bool HasInequalities() const;
 

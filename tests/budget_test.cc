@@ -158,6 +158,56 @@ TEST(BudgetDeterminismTest, DatalogEvaluationIsStepDeterministic) {
   EXPECT_TRUE(r1.IsExhausted());
 }
 
+// Naive and stage evaluation stop at every step cap: each cap k below
+// the unbudgeted step total ends in kSteps with the refused Checkpoint
+// counted (k + 1 steps used), and a cap of exactly the total completes
+// with the unbudgeted answer.
+TEST(BudgetDeterminismTest, NaiveAndStageStopAtEveryStepCap) {
+  auto program = ParseDatalogProgram(
+      "T(x,y) <- E(x,y). T(x,z) <- T(x,y), E(y,z)."
+      " N(x,y) <- T(x,y), T(y,x), x != y.",
+      GraphVocabulary());
+  ASSERT_TRUE(program.has_value());
+  const Structure edb = DirectedCycleStructure(4);
+
+  const DatalogResult naive = EvaluateNaive(*program, edb);
+  const uint64_t naive_total = static_cast<uint64_t>(naive.derivations);
+  ASSERT_GT(naive_total, 0u);
+  for (uint64_t k = 0; k < naive_total; ++k) {
+    Budget budget = Budget::MaxSteps(k);
+    const auto outcome = EvaluateNaiveBudgeted(*program, edb, budget);
+    ASSERT_FALSE(outcome.IsDone()) << "k=" << k;
+    EXPECT_EQ(outcome.Report().reason, StopReason::kSteps) << "k=" << k;
+    EXPECT_EQ(outcome.Report().steps_used, k + 1) << "k=" << k;
+  }
+  Budget naive_exact = Budget::MaxSteps(naive_total);
+  const auto naive_done = EvaluateNaiveBudgeted(*program, edb, naive_exact);
+  ASSERT_TRUE(naive_done.IsDone());
+  EXPECT_EQ(naive_done.Report().steps_used, naive_total);
+  EXPECT_EQ(naive_done.Value().idb, naive.idb);
+  EXPECT_EQ(naive_done.Value().stages, naive.stages);
+
+  const int m = naive.stages + 1;
+  Budget unlimited = Budget::Unlimited();
+  const auto stage = StageBudgeted(*program, edb, m, unlimited);
+  ASSERT_TRUE(stage.IsDone());
+  EXPECT_EQ(stage.Value(), naive.idb);
+  const uint64_t stage_total = stage.Report().steps_used;
+  ASSERT_GT(stage_total, 0u);
+  for (uint64_t k = 0; k < stage_total; ++k) {
+    Budget budget = Budget::MaxSteps(k);
+    const auto outcome = StageBudgeted(*program, edb, m, budget);
+    ASSERT_FALSE(outcome.IsDone()) << "k=" << k;
+    EXPECT_EQ(outcome.Report().reason, StopReason::kSteps) << "k=" << k;
+    EXPECT_EQ(outcome.Report().steps_used, k + 1) << "k=" << k;
+  }
+  Budget stage_exact = Budget::MaxSteps(stage_total);
+  const auto stage_done = StageBudgeted(*program, edb, m, stage_exact);
+  ASSERT_TRUE(stage_done.IsDone());
+  EXPECT_EQ(stage_done.Report().steps_used, stage_total);
+  EXPECT_EQ(stage_done.Value(), naive.idb);
+}
+
 // --- Tight deadlines on adversarial inputs return Exhausted (no hang,
 // --- no abort). The acceptance bar for the whole layer.
 

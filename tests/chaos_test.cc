@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -552,7 +553,6 @@ TEST_F(ChaosTest, DatalogDegradationsPreserveTheFixpoint) {
 
   DatalogEvalOptions options;
   options.num_threads = 2;
-  options.use_index = true;
   const DatalogResult clean = EvaluateSemiNaive(*program, edb, options);
 
   // Parallel-round loss degrades to serial rounds: identical fixpoint,
@@ -566,14 +566,89 @@ TEST_F(ChaosTest, DatalogDegradationsPreserveTheFixpoint) {
   EXPECT_EQ(serial_fallback.derivations, clean.derivations);
   registry.Disarm("datalog/parallel_round");
 
-  // Compile loss degrades to the interpretive scan engine: identical
-  // fixpoint and stages (derivation counts legitimately differ).
-  ASSERT_TRUE(registry.Arm("datalog/compile", "once"));
+  // Index-build loss degrades the EDB atoms to binary-searched prefix
+  // ranges of the sorted tuple vectors: identical fixpoint and stages.
+  // A copy carries no index, so the evaluator's TryIndex probes the site.
+  const Structure unindexed = edb;
+  ASSERT_TRUE(registry.Arm("relation_index/build", "always"));
   const DatalogResult scan_fallback =
-      EvaluateSemiNaive(*program, edb, options);
-  EXPECT_GT(registry.FireCount("datalog/compile"), 0u);
+      EvaluateSemiNaive(*program, unindexed, options);
+  EXPECT_GT(registry.FireCount("relation_index/build"), 0u);
+  EXPECT_EQ(unindexed.TryIndex(), nullptr);
+  registry.Disarm("relation_index/build");
   EXPECT_EQ(scan_fallback.idb, clean.idb);
   EXPECT_EQ(scan_fallback.stages, clean.stages);
+}
+
+// With every RelationIndex build failing, a view's maintenance joins read
+// the base's sorted tuple vectors directly: counting, delta-insert and
+// DRed applies reach the IDB and round count of the same views run
+// fault-free.
+TEST_F(ChaosTest, IndexBuildFaultLeavesViewMaintenanceExact) {
+  auto& registry = FailpointRegistry::Global();
+  const Vocabulary voc = GraphVoc();
+  ParseError error;
+  auto tc = ParseDatalogProgram(
+      "T(x,y) <- E(x,y). T(x,z) <- T(x,y), E(y,z).", voc, &error);
+  ASSERT_TRUE(tc.has_value()) << error.ToString();
+  auto two_step = ParseDatalogProgram("R(x,z) <- E(x,y), E(y,z).", voc,
+                                      &error);
+  ASSERT_TRUE(two_step.has_value()) << error.ToString();
+  MaterializedViewOptions counting;
+  counting.max_bounded_stage = 0;  // counting, not the stage unfolding
+
+  struct Step {
+    StructureDelta delta;
+    MaintainStrategy tc_strategy;
+    // The fault-free run's results after this step.
+    IdbInterpretation tc_idb;
+    int tc_rounds = 0;
+    IdbInterpretation two_idb;
+    std::vector<std::map<Tuple, long long>> two_counts;
+  };
+  std::vector<Step> steps(3);
+  steps[0].delta.InsertTuple(0, {5, 0});  // close the cycle
+  steps[0].tc_strategy = MaintainStrategy::kDeltaInsert;
+  steps[1].delta.RemoveTuple(0, {2, 3});  // cut it
+  steps[1].tc_strategy = MaintainStrategy::kDRed;
+  steps[2].delta.InsertTuple(0, {3, 1}).RemoveTuple(0, {0, 1});
+  steps[2].tc_strategy = MaintainStrategy::kDRed;
+
+  Structure base(voc, 6);
+  for (int i = 0; i + 1 < 6; ++i) base.AddTuple(0, {i, i + 1});
+  {
+    MaterializedView tc_view(*tc, base);
+    MaterializedView two_view(*two_step, base, counting);
+    for (Step& step : steps) {
+      step.tc_rounds = tc_view.Apply(step.delta).rounds;
+      step.tc_idb = tc_view.Idb();
+      two_view.Apply(step.delta);
+      step.two_idb = two_view.Idb();
+      step.two_counts = two_view.DerivationCounts();
+    }
+    EXPECT_NE(tc_view.Base().TryIndex(), nullptr);  // really indexed
+  }
+
+  ASSERT_TRUE(registry.Arm("relation_index/build", "always"));
+  MaterializedView tc_view(*tc, base);
+  MaterializedView two_view(*two_step, base, counting);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const Step& step = steps[i];
+    const ViewMaintenanceStats tc_stats = tc_view.Apply(step.delta);
+    const ViewMaintenanceStats two_stats = two_view.Apply(step.delta);
+    EXPECT_EQ(tc_view.Base().TryIndex(), nullptr);
+    EXPECT_EQ(two_view.Base().TryIndex(), nullptr);
+    EXPECT_EQ(tc_stats.plan.strategy, step.tc_strategy);
+    EXPECT_EQ(two_stats.plan.strategy, MaintainStrategy::kCounting);
+    EXPECT_FALSE(tc_stats.recomputed);
+    EXPECT_FALSE(two_stats.recomputed);
+    EXPECT_EQ(tc_view.Idb(), step.tc_idb);
+    EXPECT_EQ(tc_stats.rounds, step.tc_rounds);
+    EXPECT_EQ(two_view.Idb(), step.two_idb);
+    EXPECT_EQ(two_view.DerivationCounts(), step.two_counts);
+  }
+  EXPECT_GT(registry.FireCount("relation_index/build"), 0u);
 }
 
 // --- Incremental maintenance: faults cost a recompute, never the IDB. ---

@@ -2,12 +2,12 @@
 //
 // Every trial draws a random safe program (EDB U/1, E/2; IDB P/1, Q/2,
 // sometimes with inequality constraints) and a random EDB structure, then
-// checks that the compiled/indexed engine and the interpretive scan
-// engine agree on fixpoints, stage counts, and every finite stage, that
-// naive and semi-naive agree with each other, that the parallel fan-out
-// matches the serial run, and that the indexed engine never enumerates
-// more assignments than the scan engine. Replays like property_hom_test:
-// HOMPRES_TEST_SEED=<seed> ./datalog_differential_test.
+// checks that the compiled/indexed executor and the interpretive scan
+// oracle (datalog_scan_oracle.h) agree on fixpoints, stage counts, and
+// every finite stage, that naive and semi-naive agree with each other,
+// that the parallel fan-out matches the serial run, and that the indexed
+// executor never enumerates more assignments than the scan. Replays like
+// property_hom_test: HOMPRES_TEST_SEED=<seed> ./datalog_differential_test.
 
 #include <cstdlib>
 #include <string>
@@ -18,6 +18,7 @@
 #include "base/rng.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
+#include "datalog_scan_oracle.h"
 #include "structure/generators.h"
 #include "structure/structure.h"
 #include "structure/vocabulary.h"
@@ -107,9 +108,6 @@ std::string Replay(uint64_t seed, int trial, const DatalogProgram& program,
 TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
   const uint64_t seed = TestSeed();
   Rng rng(seed);
-  DatalogEvalOptions indexed;
-  DatalogEvalOptions scan;
-  scan.use_index = false;
   // Work-measure totals across all trials. Per trial the greedy atom
   // reorder can visit a handful more candidates than the original order
   // on tiny inputs; in aggregate the indexed engine must do less work.
@@ -124,8 +122,8 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
     const Structure edb =
         RandomStructure(EdbVocabulary(), n, rng.UniformInt(0, 3 * n), rng);
 
-    const DatalogResult semi_idx = EvaluateSemiNaive(program, edb, indexed);
-    const DatalogResult semi_scan = EvaluateSemiNaive(program, edb, scan);
+    const DatalogResult semi_idx = EvaluateSemiNaive(program, edb);
+    const DatalogResult semi_scan = ScanEvaluateSemiNaive(program, edb);
     ASSERT_EQ(semi_idx.idb, semi_scan.idb)
         << "semi-naive fixpoint differs\n" << Replay(seed, trial, program, edb);
     ASSERT_EQ(semi_idx.stages, semi_scan.stages)
@@ -134,8 +132,8 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
     semi_idx_total += semi_idx.derivations;
     semi_scan_total += semi_scan.derivations;
 
-    const DatalogResult naive_idx = EvaluateNaive(program, edb, indexed);
-    const DatalogResult naive_scan = EvaluateNaive(program, edb, scan);
+    const DatalogResult naive_idx = EvaluateNaive(program, edb);
+    const DatalogResult naive_scan = ScanEvaluateNaive(program, edb);
     ASSERT_EQ(naive_idx.idb, naive_scan.idb)
         << "naive fixpoint differs\n" << Replay(seed, trial, program, edb);
     ASSERT_EQ(naive_idx.idb, semi_idx.idb)
@@ -146,8 +144,7 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
     naive_scan_total += naive_scan.derivations;
 
     for (int m = 0; m <= 3; ++m) {
-      ASSERT_EQ(Stage(program, edb, m, indexed),
-                Stage(program, edb, m, scan))
+      ASSERT_EQ(Stage(program, edb, m), ScanStage(program, edb, m))
           << "stage " << m << " differs\n"
           << Replay(seed, trial, program, edb);
     }
@@ -158,7 +155,8 @@ TEST(DatalogDifferential, IndexedAndScanEnginesAgree) {
       << "indexed naive did more aggregate work than the scan";
 }
 
-TEST(DatalogDifferential, ParallelMatchesSerialInBothEngines) {
+// The scan oracle is serial, so only the executor has a parallel leg.
+TEST(DatalogDifferential, ParallelMatchesSerial) {
   const uint64_t seed = TestSeed() ^ 0x9E3779B97F4A7C15ULL;
   Rng rng(seed);
   for (int trial = 0; trial < 60; ++trial) {
@@ -167,21 +165,14 @@ TEST(DatalogDifferential, ParallelMatchesSerialInBothEngines) {
     const int n = rng.UniformInt(1, 5);
     const Structure edb =
         RandomStructure(EdbVocabulary(), n, rng.UniformInt(0, 3 * n), rng);
-    for (const bool use_index : {true, false}) {
-      DatalogEvalOptions serial;
-      serial.use_index = use_index;
-      DatalogEvalOptions parallel(3);
-      parallel.use_index = use_index;
-      const DatalogResult s = EvaluateSemiNaive(program, edb, serial);
-      const DatalogResult p = EvaluateSemiNaive(program, edb, parallel);
-      ASSERT_EQ(s.idb, p.idb) << "use_index=" << use_index << "\n"
-                              << Replay(seed, trial, program, edb);
-      ASSERT_EQ(s.stages, p.stages);
-      ASSERT_EQ(s.derivations, p.derivations)
-          << "parallel derivation count diverged (use_index=" << use_index
-          << ")\n"
-          << Replay(seed, trial, program, edb);
-    }
+    const DatalogResult s = EvaluateSemiNaive(program, edb);
+    const DatalogResult p =
+        EvaluateSemiNaive(program, edb, DatalogEvalOptions(3));
+    ASSERT_EQ(s.idb, p.idb) << Replay(seed, trial, program, edb);
+    ASSERT_EQ(s.stages, p.stages);
+    ASSERT_EQ(s.derivations, p.derivations)
+        << "parallel derivation count diverged\n"
+        << Replay(seed, trial, program, edb);
   }
 }
 
@@ -245,11 +236,8 @@ TEST(DatalogDifferential, IndexedEngineDoesLessWorkOnTransitiveClosure) {
   voc.AddRelation("E", 2);
   Structure path(voc, 24);
   for (int i = 0; i + 1 < 24; ++i) path.AddTuple(0, {i, i + 1});
-  DatalogEvalOptions indexed;
-  DatalogEvalOptions scan;
-  scan.use_index = false;
-  const DatalogResult idx = EvaluateSemiNaive(tc, path, indexed);
-  const DatalogResult ref = EvaluateSemiNaive(tc, path, scan);
+  const DatalogResult idx = EvaluateSemiNaive(tc, path);
+  const DatalogResult ref = ScanEvaluateSemiNaive(tc, path);
   ASSERT_EQ(idx.idb, ref.idb);
   ASSERT_EQ(idx.stages, ref.stages);
   EXPECT_LT(idx.derivations * 4, ref.derivations)
