@@ -44,13 +44,13 @@ Structure MycielskiInstance(int level) {
 // bench/check_regression.py flags rows whose summary changed.
 void LabelPlan(benchmark::State& state, const Structure& a,
                const Structure& b, HomQueryMode mode,
-               const HomOptions& options = {}) {
+               const EngineConfig& options = {}) {
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = mode;
   const PlanResult planned =
-      PlanHomQuery(problem, options.ToEngineConfig(), PlanMode::kCompat);
+      PlanHomQuery(problem, options, PlanMode::kCompat);
   state.SetLabel(planned.plan->Summary());
 }
 
@@ -75,7 +75,7 @@ void BM_HomomorphismNaive(benchmark::State& state) {
   const int level = static_cast<int>(state.range(0));
   Structure a = MycielskiInstance(level);
   Structure target = UndirectedGraphStructure(CompleteGraph(level + 1));
-  HomOptions naive;
+  EngineConfig naive;
   naive.use_arc_consistency = false;
   bool sat = true;
   for (auto _ : state) {
@@ -98,7 +98,7 @@ void BM_HomomorphismParallel(benchmark::State& state) {
   const int level = static_cast<int>(state.range(0));
   Structure a = MycielskiInstance(level);
   Structure target = UndirectedGraphStructure(CompleteGraph(level + 1));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = static_cast<int>(state.range(1));
   bool sat = true;
   for (auto _ : state) {
@@ -237,7 +237,7 @@ void RunPathCountEngines(benchmark::State& state, bool use_index) {
   Rng rng(47);
   Structure b =
       RandomStructure(GraphVocabulary(), target_size, 4 * target_size, rng);
-  HomOptions options;
+  EngineConfig options;
   options.use_index = use_index;
   uint64_t count = 0;
   for (auto _ : state) {

@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <string>
 
+#include "base/budget.h"
 #include "cq/ucq.h"
 #include "fo/ep.h"
 #include "fo/parser.h"
+#include "opt/optimizer.h"
 #include "structure/vocabulary.h"
 
 int main(int argc, char** argv) {
@@ -50,7 +52,10 @@ int main(int argc, char** argv) {
                 d.Canonical().NumTuples());
   }
 
-  UnionOfCq minimized = MinimizeUcq(*ucq);
+  OptimizerOptions options;
+  options.verify = true;
+  Budget unlimited = Budget::Unlimited();
+  UnionOfCq minimized = OptimizeUcqBudgeted(*ucq, unlimited, options);
   std::printf("\nafter Chandra-Merlin minimization (%zu disjuncts):\n",
               minimized.Disjuncts().size());
   int before = 0;

@@ -24,18 +24,8 @@ class UnionOfCq {
 
   bool SatisfiedBy(const Structure& b) const;
 
-  // Parallel satisfaction: the disjuncts' homomorphism searches run
-  // concurrently on `num_threads` workers, and the first disjunct found
-  // satisfied cancels the rest. Same answer as the serial overload;
-  // num_threads <= 0 falls back to it.
-  bool SatisfiedBy(const Structure& b, int num_threads) const;
-
   // Union of the disjuncts' answers, sorted and deduplicated.
   std::vector<Tuple> Evaluate(const Structure& b) const;
-
-  // Parallel evaluation: one task per disjunct, answers merged, sorted
-  // and deduplicated — identical output to the serial overload.
-  std::vector<Tuple> Evaluate(const Structure& b, int num_threads) const;
 
   std::string ToString() const;
 
@@ -49,16 +39,6 @@ class UnionOfCq {
 bool UcqContained(const UnionOfCq& q1, const UnionOfCq& q2);
 
 bool UcqEquivalent(const UnionOfCq& q1, const UnionOfCq& q2);
-
-// Minimizes each disjunct and drops disjuncts contained in another. Of
-// any set of mutually equivalent disjuncts, the one with the smallest
-// canonical fingerprint (opt/canonical.h) is kept, so the result is
-// invariant under permutations of the input disjuncts. The result is
-// equivalent to the input and no disjunct is contained in a different
-// one. Implemented by the containment-driven optimizer
-// (opt/optimizer.h); callers that need budgets, threads, or statistics
-// should use OptimizeUcqBudgeted directly.
-UnionOfCq MinimizeUcq(const UnionOfCq& q);
 
 }  // namespace hompres
 

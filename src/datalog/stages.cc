@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "base/budget.h"
 #include "base/check.h"
+#include "opt/optimizer.h"
 
 namespace hompres {
 
@@ -171,11 +173,17 @@ std::vector<UnionOfCq> NextStage(const DatalogProgram& program,
     };
     expand(0);
   }
+  // Minimization runs the UCQ optimizer unbudgeted, with its
+  // equivalence check.
+  OptimizerOptions optimize;
+  optimize.verify = true;
   std::vector<UnionOfCq> stage;
   for (size_t i = 0; i < idb_count; ++i) {
     UnionOfCq ucq(std::move(next[i]),
                   program.Idb().Arity(static_cast<int>(i)));
-    stage.push_back(minimize ? MinimizeUcq(ucq) : ucq);
+    Budget unlimited = Budget::Unlimited();
+    stage.push_back(minimize ? OptimizeUcqBudgeted(ucq, unlimited, optimize)
+                             : ucq);
   }
   return stage;
 }

@@ -3,14 +3,13 @@
 // homomorphism-shaped queries; see engine/plan.h for how a config is
 // validated and turned into an executable HomPlan).
 //
-// EngineConfig is the successor of the legacy HomOptions struct
-// (hom/homomorphism.h), which survives as a thin compatibility shim that
-// constructs an EngineConfig. The fields are intentionally identical so
-// the migration is mechanical; the difference is in validation: direct
-// EngineConfig users get strict planning (incompatible combinations are
-// structured errors, see engine/plan.h), while the HomOptions entry
-// points plan in compatibility mode (incompatible combinations are
-// normalized away and recorded, preserving the legacy silent behavior).
+// EngineConfig is the one configuration type of the engine: Engine
+// (engine/engine.h), the hom/homomorphism.h free functions, the serial
+// kernel (hom/kernel.h) and the parallel driver (hom/parallel.h) all read
+// it. The difference between its callers is in validation: Engine users
+// get strict planning (incompatible combinations are structured errors,
+// see engine/plan.h), while the free functions plan in compatibility
+// mode (incompatible combinations are normalized away and recorded).
 
 #ifndef HOMPRES_ENGINE_CONFIG_H_
 #define HOMPRES_ENGINE_CONFIG_H_

@@ -16,52 +16,20 @@ namespace hompres {
 
 namespace {
 
-KernelOptions ToKernelOptions(const HomPlan& plan) {
-  const EngineConfig& config = plan.config;
-  KernelOptions options;
-  options.mode = plan.problem.mode;
-  options.limit = plan.problem.limit;
-  options.free = plan.problem.free;
-  options.surjective = config.surjective;
-  options.forced = config.forced;
-  options.use_arc_consistency = config.use_arc_consistency;
-  options.use_index = config.use_index;
-  return options;
-}
-
-// The parallel subtree driver keeps its legacy HomOptions surface (it is
-// an execution backend, not a planner); this converter is the only place
-// an EngineConfig turns back into one.
-HomOptions ToHomOptions(const EngineConfig& config) {
-  HomOptions options;
-  options.surjective = config.surjective;
-  options.forced = config.forced;
-  options.use_arc_consistency = config.use_arc_consistency;
-  options.use_index = config.use_index;
-  options.num_threads = config.num_threads;
-  options.deterministic_witness = config.deterministic_witness;
-  options.factorize = config.factorize;
-  options.use_cache = config.use_cache;
-  return options;
-}
-
-// Re-plans the cache-miss path: same problem, cache disabled. The config
-// was already normalized by the original planning call, so strict
-// re-planning cannot fail.
-HomPlan ReplanUncached(const HomPlan& plan) {
-  EngineConfig uncached = plan.config;
-  uncached.use_cache = false;
-  PlanResult replanned =
-      PlanHomQuery(plan.problem, uncached, PlanMode::kStrict);
-  HOMPRES_CHECK(replanned.plan.has_value());
-  return *std::move(replanned.plan);
-}
-
-// Plans a sub-query (component / miss path) whose config is known valid.
+// Plans a sub-query (component, cache-miss path, degraded re-plan)
+// whose config is known valid: it was normalized by the original
+// planning call, so strict planning cannot fail.
 HomPlan PlanSubQuery(const HomProblem& problem, const EngineConfig& config) {
   PlanResult planned = PlanHomQuery(problem, config, PlanMode::kStrict);
   HOMPRES_CHECK(planned.plan.has_value());
   return *std::move(planned.plan);
+}
+
+// Re-plans the cache-miss path: same problem, cache disabled.
+HomPlan ReplanUncached(const HomPlan& plan) {
+  EngineConfig uncached = plan.config;
+  uncached.use_cache = false;
+  return PlanSubQuery(plan.problem, uncached);
 }
 
 // Nullary tuples constrain no element, so no kernel sees them: a 0-ary
@@ -78,9 +46,7 @@ bool NullaryTuplesPreserved(const Structure& a, const Structure& b) {
   return true;
 }
 
-Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
-                                                      Budget& budget);
-Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget);
+Outcome<HomResult> Dispatch(const HomPlan& plan, Budget& budget);
 
 // ---------------------------------------------------------------------
 // Degradation ladder (DESIGN.md §4.6). When a facility the plan relies
@@ -102,20 +68,19 @@ void RecordDegradation(const HomPlan& root, ExecutionTrace* trace,
 // uncached queries, the re-planned miss path for cached ones) and
 // returns the plan actually dispatched. Probes happen once per
 // top-level Execute, before dispatch, so a fired fault always leaves a
-// DegradationEvent on `root`; sub-query plans (per-component, spawned by
-// the factorized drivers) inherit the degraded config and are not
-// re-probed. Ladder order: index -> scan, parallel -> serial,
-// factorized -> monolithic, AC bitset -> naive backtracking. (The cache
-// rungs — unreadable shard treated as an evicted miss, failed insert
-// skipped — live with the cache consult in ExecuteHas/ExecuteCount.)
+// DegradationEvent on `root`; per-component sub-query plans inherit the
+// degraded config and the parallel driver's subtree tasks run the kernel
+// on it, so neither re-probes. Ladder order: index -> scan, parallel ->
+// serial, factorized -> monolithic, AC bitset -> naive backtracking.
+// (The cache rungs — unreadable shard treated as an evicted miss, failed
+// insert skipped — live with the cache consult in ExecuteCached.)
 HomPlan DegradeForDispatch(HomPlan plan, const HomPlan& root,
                            ExecutionTrace* trace) {
   // Index -> scan: a target whose index cannot be built (allocation
   // failure or "relation_index/build") is scanned directly. TryIndex
   // returns the cached index without consulting the failpoint, so a
   // successful probe here is never re-failed inside the kernels.
-  if (plan.use_index && plan.problem.target->TryIndex() == nullptr) {
-    plan.use_index = false;
+  if (plan.config.use_index && plan.problem.target->TryIndex() == nullptr) {
     plan.config.use_index = false;
     RecordDegradation(root, trace, DegradationKind::kIndexToScan,
                       "relation_index/build",
@@ -136,15 +101,12 @@ HomPlan DegradeForDispatch(HomPlan plan, const HomPlan& root,
                       "worker threads unavailable; serial search");
   }
   // Factorized -> monolithic: abandon the Gaifman-component split and
-  // search the whole source at once.
+  // search the whole source at once. Re-planning without factorization
+  // runs the split pass the component split had skipped.
   if (plan.components.size() >= 2 && HOMPRES_FAILPOINT("engine/factorize")) {
-    plan.components.clear();
-    plan.config.factorize = false;
-    if (plan.strategy == ExecStrategy::kFactorized) {
-      plan.strategy = plan.config.num_threads > 0
-                          ? ExecStrategy::kParallelSplit
-                          : ExecStrategy::kSerial;
-    }
+    EngineConfig monolithic = plan.config;
+    monolithic.factorize = false;
+    plan = PlanSubQuery(plan.problem, monolithic);
     RecordDegradation(root, trace, DegradationKind::kFactorizedToMonolithic,
                       "engine/factorize",
                       "component split abandoned; monolithic search");
@@ -156,7 +118,6 @@ HomPlan DegradeForDispatch(HomPlan plan, const HomPlan& root,
       HOMPRES_FAILPOINT("hom/workspace_alloc")) {
     plan.config.use_arc_consistency = false;
     plan.config.use_index = false;
-    plan.use_index = false;
     plan.kernel = SerialKernel::kNaiveBacktracking;
     RecordDegradation(root, trace, DegradationKind::kAcToNaive,
                       "hom/workspace_alloc",
@@ -170,131 +131,138 @@ HomPlan DegradeForDispatch(HomPlan plan, const HomPlan& root,
 // homomorphism per component, so existence is a conjunction and the
 // count is a product. Planning only selects it when nothing couples the
 // components (no surjectivity, no forced pairs).
-Outcome<std::optional<std::vector<int>>> FindFactorized(
-    const HomPlan& plan, Budget& budget) {
-  using Result = Outcome<std::optional<std::vector<int>>>;
+Outcome<HomResult> RunFactorized(const HomPlan& plan, Budget& budget) {
   const Structure& a = *plan.problem.source;
   const Structure& b = *plan.problem.target;
+  const bool count = plan.problem.mode == HomQueryMode::kCount;
+  const uint64_t limit = plan.problem.limit;
   EngineConfig sub_config = plan.config;
   sub_config.factorize = false;  // components are connected: don't re-split
   std::vector<int> h(static_cast<size_t>(a.UniverseSize()), -1);
+  uint64_t product = 1;
+  bool saturated = false;  // the running product has reached `limit`
   for (const std::vector<int>& elements : plan.components) {
     const Structure sub = a.InducedSubstructure(elements);
     HomProblem sub_problem;
     sub_problem.source = &sub;
     sub_problem.target = &b;
-    sub_problem.mode = HomQueryMode::kFind;
-    auto found =
-        FindDispatch(PlanSubQuery(sub_problem, sub_config), budget);
-    if (!found.IsDone()) return Result::StoppedShort(found.Report());
-    if (!found.Value().has_value()) {
-      // One component with no homomorphism is a certain global "no".
-      return Result::Done(std::nullopt, budget.Report());
-    }
-    const std::vector<int>& sub_h = *found.Value();
-    for (size_t i = 0; i < elements.size(); ++i) {
-      h[static_cast<size_t>(elements[i])] = sub_h[i];
-    }
-  }
-  HOMPRES_CHECK(VerifyHomomorphism(a, b, h));
-  return Result::Done(std::move(h), budget.Report());
-}
-
-Outcome<uint64_t> CountFactorized(const HomPlan& plan, Budget& budget) {
-  const Structure& a = *plan.problem.source;
-  const Structure& b = *plan.problem.target;
-  const uint64_t limit = plan.problem.limit;
-  EngineConfig sub_config = plan.config;
-  sub_config.factorize = false;
-  uint64_t product = 1;
-  bool saturated = false;  // the running product has reached `limit`
-  for (const std::vector<int>& elements : plan.components) {
-    const Structure sub = a.InducedSubstructure(elements);
+    sub_problem.mode = count ? HomQueryMode::kCount : HomQueryMode::kFind;
     // Once the product has reached the limit, later components only
     // matter through "zero or not": count them with limit 1. Clamping
     // the per-component counts at `limit` keeps each sub-enumeration
     // bounded without changing min(total, limit): if some component
     // count was clamped, the true total is already >= limit.
-    HomProblem sub_problem;
-    sub_problem.source = &sub;
-    sub_problem.target = &b;
-    sub_problem.mode = HomQueryMode::kCount;
-    sub_problem.limit = saturated ? 1 : limit;
-    auto counted =
-        CountDispatch(PlanSubQuery(sub_problem, sub_config), budget);
-    if (!counted.IsDone()) {
-      return Outcome<uint64_t>::StoppedShort(counted.Report());
+    if (count) sub_problem.limit = saturated ? 1 : limit;
+    auto part = Dispatch(PlanSubQuery(sub_problem, sub_config), budget);
+    if (!part.IsDone()) return part;
+    if (count ? part.Value().count == 0 : !part.Value().has) {
+      // One component with no homomorphism is a certain global "no".
+      return Outcome<HomResult>::Done(HomResult{}, budget.Report());
     }
-    if (counted.Value() == 0) {
-      return Outcome<uint64_t>::Done(0, budget.Report());
-    }
-    if (!saturated) {
-      product = SatMul(product, counted.Value());
-      if (limit != 0 && product >= limit) {
-        product = limit;
-        saturated = true;
+    if (count) {
+      if (!saturated) {
+        product = SatMul(product, part.Value().count);
+        if (limit != 0 && product >= limit) {
+          product = limit;
+          saturated = true;
+        }
+      }
+    } else {
+      const std::vector<int>& sub_h = *part.Value().witness;
+      for (size_t i = 0; i < elements.size(); ++i) {
+        h[static_cast<size_t>(elements[i])] = sub_h[i];
       }
     }
   }
-  return Outcome<uint64_t>::Done(product, budget.Report());
+  HomResult result;
+  if (count) {
+    result.count = product;
+  } else {
+    HOMPRES_CHECK(VerifyHomomorphism(a, b, h));
+    result.has = true;
+    if (plan.problem.mode == HomQueryMode::kFind) result.witness = std::move(h);
+  }
+  return Outcome<HomResult>::Done(std::move(result), budget.Report());
 }
 
-// Find/has dispatch below the cache: factorized -> parallel -> serial.
-// Dispatch keys on the normalized config (not the strategy label) so
-// execution matches the legacy engine bit for bit: the parallel driver
-// owns its own serial fallback for splits that turn out trivial.
-Outcome<std::optional<std::vector<int>>> FindDispatch(const HomPlan& plan,
-                                                      Budget& budget) {
-  using Result = Outcome<std::optional<std::vector<int>>>;
-  const Structure& a = *plan.problem.source;
-  const Structure& b = *plan.problem.target;
-  if (!NullaryTuplesPreserved(a, b)) {
-    return Result::Done(std::nullopt, budget.Report());
+// One serial kernel run, for every mode.
+Outcome<HomResult> RunSerial(const HomPlan& plan, Budget& budget) {
+  const HomProblem& problem = plan.problem;
+  HomResult result;
+  switch (problem.mode) {
+    case HomQueryMode::kHas:
+    case HomQueryMode::kFind: {
+      std::optional<std::vector<int>> witness;
+      RunSerialHomKernel(problem, plan.config, budget,
+                         [&](const std::vector<int>& h) {
+                           witness = h;
+                           return false;  // stop at the first witness
+                         });
+      if (witness.has_value()) {
+        HOMPRES_CHECK(
+            VerifyHomomorphism(*problem.source, *problem.target, *witness));
+        result.has = true;
+        if (problem.mode == HomQueryMode::kFind) {
+          result.witness = std::move(witness);
+        }
+        // A witness is a witness even if the budget ran out as it was
+        // found.
+        return Outcome<HomResult>::Done(std::move(result), budget.Report());
+      }
+      break;
+    }
+    case HomQueryMode::kCount:
+      result.count = RunSerialHomKernel(problem, plan.config, budget);
+      // Reaching the limit completes the query; only a budget stop
+      // without the limit leaves the count uncertain.
+      if (problem.limit != 0 && result.count >= problem.limit) {
+        return Outcome<HomResult>::Done(std::move(result), budget.Report());
+      }
+      break;
+    case HomQueryMode::kEnumerate:
+    case HomQueryMode::kProject: {
+      // The kernel streams full maps or answer tuples into the caller's
+      // callback.
+      bool callback_stopped = false;
+      RunSerialHomKernel(problem, plan.config, budget,
+                         [&](const std::vector<int>& h) {
+                           if (!problem.callback(h)) {
+                             callback_stopped = true;
+                             return false;
+                           }
+                           return true;
+                         });
+      if (callback_stopped) {
+        return Outcome<HomResult>::Done(std::move(result), budget.Report());
+      }
+      result.enumeration_completed = true;
+      break;
+    }
   }
-  if (plan.components.size() >= 2) return FindFactorized(plan, budget);
-  if (plan.config.num_threads > 0) {
-    return ParallelFindHomomorphismBudgeted(a, b, budget,
-                                            ToHomOptions(plan.config));
-  }
-  std::optional<std::vector<int>> result;
-  RunSerialHomKernel(a, b, ToKernelOptions(plan), budget,
-                     [&](const std::vector<int>& h) {
-                       result = h;
-                       return false;  // stop at the first witness
-                     });
-  if (result.has_value()) {
-    HOMPRES_CHECK(VerifyHomomorphism(a, b, *result));
-    // A witness is a witness even if the budget ran out as it was found.
-    return Result::Done(std::move(result), budget.Report());
-  }
-  return Result::Finish(budget, std::nullopt);
+  return Outcome<HomResult>::Finish(budget, std::move(result));
 }
 
-Outcome<uint64_t> CountDispatch(const HomPlan& plan, Budget& budget) {
-  const Structure& a = *plan.problem.source;
-  const Structure& b = *plan.problem.target;
-  const uint64_t limit = plan.problem.limit;
-  if (!NullaryTuplesPreserved(a, b)) {
-    return Outcome<uint64_t>::Done(0, budget.Report());
+// Dispatch below the cache, on the plan's strategy.
+Outcome<HomResult> Dispatch(const HomPlan& plan, Budget& budget) {
+  if (!NullaryTuplesPreserved(*plan.problem.source, *plan.problem.target)) {
+    HomResult none;
+    none.enumeration_completed = true;
+    return Outcome<HomResult>::Done(std::move(none), budget.Report());
   }
-  if (plan.components.size() >= 2) return CountFactorized(plan, budget);
-  if (plan.config.num_threads > 0) {
-    return ParallelCountHomomorphismsBudgeted(a, b, budget, limit,
-                                              ToHomOptions(plan.config));
+  switch (plan.strategy) {
+    case ExecStrategy::kFactorized:
+      return RunFactorized(plan, budget);
+    case ExecStrategy::kParallelSplit:
+      return RunParallelSplit(plan, budget);
+    case ExecStrategy::kSerial:
+      break;
   }
-  const uint64_t count =
-      RunSerialHomKernel(a, b, ToKernelOptions(plan), budget);
-  // Reaching the limit completes the query; only a budget stop without
-  // the limit leaves the count uncertain.
-  if (limit != 0 && count >= limit) {
-    return Outcome<uint64_t>::Done(count, budget.Report());
-  }
-  return Outcome<uint64_t>::Finish(budget, count);
+  return RunSerial(plan, budget);
 }
 
-// Cached -> uncached rung, shared by ExecuteHas/ExecuteCount: a failed
-// lookup means the shard cannot be trusted; evict it wholesale and
-// proceed as a miss (the insert below repopulates the now-empty shard).
+// Cached -> uncached rung: a failed lookup means the shard cannot be
+// trusted; evict it wholesale and proceed as a miss (the insert below
+// repopulates the now-empty shard).
 void DegradeFailedLookup(const HomPlan& plan, ExecutionTrace* trace) {
   HomCache::Global().EvictShardFor(plan.source_fingerprint,
                                    plan.target_fingerprint);
@@ -303,134 +271,45 @@ void DegradeFailedLookup(const HomPlan& plan, ExecutionTrace* trace) {
                     "shard unreadable; evicted and treated as a miss");
 }
 
-Outcome<HomResult> ExecuteHas(const HomPlan& plan, Budget& budget,
-                              ExecutionTrace* trace) {
-  if (plan.consult_cache) {
-    if (trace != nullptr) trace->cache_consulted = true;
-    bool lookup_failed = false;
-    if (auto hit = HomCache::Global().Lookup(
-            plan.source_fingerprint, plan.target_fingerprint,
-            plan.options_digest, HomCache::Kind::kHas, &lookup_failed)) {
-      if (trace != nullptr) trace->cache_hit = true;
-      HomResult result;
-      result.has = (*hit != 0);
-      return Outcome<HomResult>::Done(std::move(result), budget.Report());
-    }
-    if (lookup_failed) DegradeFailedLookup(plan, trace);
-    auto found = FindDispatch(
-        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
-    if (!found.IsDone()) {
-      return Outcome<HomResult>::StoppedShort(found.Report());
-    }
-    const bool has = found.Value().has_value();
-    // Only completed answers are cached; an exhausted search proves
-    // nothing about the pair.
-    const bool stored = HomCache::Global().Insert(
-        plan.source_fingerprint, plan.target_fingerprint, plan.options_digest,
-        HomCache::Kind::kHas, has ? 1 : 0);
-    if (stored) {
-      if (trace != nullptr) trace->cache_stored = true;
-    } else {
-      RecordDegradation(plan, trace, DegradationKind::kCacheInsertSkipped,
-                        "hom_cache/shard_insert",
-                        "completed answer not memoized");
-    }
-    HomResult result;
-    result.has = has;
-    return Outcome<HomResult>::Done(std::move(result), found.Report());
-  }
-  auto found = FindDispatch(DegradeForDispatch(plan, plan, trace), budget);
-  if (!found.IsDone()) return Outcome<HomResult>::StoppedShort(found.Report());
-  HomResult result;
-  result.has = found.Value().has_value();
-  return Outcome<HomResult>::Done(std::move(result), found.Report());
-}
-
-Outcome<HomResult> ExecuteFind(const HomPlan& plan, Budget& budget,
-                               ExecutionTrace* trace) {
-  auto found = FindDispatch(DegradeForDispatch(plan, plan, trace), budget);
-  if (!found.IsDone()) return Outcome<HomResult>::StoppedShort(found.Report());
-  const BudgetReport report = found.Report();
-  HomResult result;
-  result.witness = std::move(found).TakeValue();
-  result.has = result.witness.has_value();
-  return Outcome<HomResult>::Done(std::move(result), report);
-}
-
-Outcome<HomResult> ExecuteCount(const HomPlan& plan, Budget& budget,
-                                ExecutionTrace* trace) {
-  if (plan.consult_cache) {
-    if (trace != nullptr) trace->cache_consulted = true;
-    bool lookup_failed = false;
-    if (auto hit = HomCache::Global().Lookup(
-            plan.source_fingerprint, plan.target_fingerprint,
-            plan.options_digest, HomCache::Kind::kCount, &lookup_failed)) {
-      if (trace != nullptr) trace->cache_hit = true;
-      HomResult result;
-      result.count = *hit;
-      return Outcome<HomResult>::Done(std::move(result), budget.Report());
-    }
-    if (lookup_failed) DegradeFailedLookup(plan, trace);
-    auto counted = CountDispatch(
-        DegradeForDispatch(ReplanUncached(plan), plan, trace), budget);
-    if (!counted.IsDone()) {
-      return Outcome<HomResult>::StoppedShort(counted.Report());
-    }
-    const bool stored = HomCache::Global().Insert(
-        plan.source_fingerprint, plan.target_fingerprint, plan.options_digest,
-        HomCache::Kind::kCount, counted.Value());
-    if (stored) {
-      if (trace != nullptr) trace->cache_stored = true;
-    } else {
-      RecordDegradation(plan, trace, DegradationKind::kCacheInsertSkipped,
-                        "hom_cache/shard_insert",
-                        "completed answer not memoized");
-    }
-    HomResult result;
-    result.count = counted.Value();
-    return Outcome<HomResult>::Done(std::move(result), counted.Report());
-  }
-  auto counted = CountDispatch(DegradeForDispatch(plan, plan, trace), budget);
-  if (!counted.IsDone()) {
-    return Outcome<HomResult>::StoppedShort(counted.Report());
-  }
-  HomResult result;
-  result.count = counted.Value();
-  return Outcome<HomResult>::Done(std::move(result), counted.Report());
-}
-
-// Enumerate and project: the kernel streams full maps or answer tuples
-// into the caller's callback.
-Outcome<HomResult> ExecuteStream(const HomPlan& root, Budget& budget,
+// A has or count query that consults the HomCache: answer a hit from the
+// cache, dispatch a miss on the re-planned uncached path and memoize its
+// completed answer.
+Outcome<HomResult> ExecuteCached(const HomPlan& plan, Budget& budget,
                                  ExecutionTrace* trace) {
-  const HomPlan plan = DegradeForDispatch(root, root, trace);
-  const Structure& a = *plan.problem.source;
-  const Structure& b = *plan.problem.target;
-  bool callback_stopped = false;
-  if (!NullaryTuplesPreserved(a, b)) {
-    HomResult none;
-    none.enumeration_completed = true;
-    return Outcome<HomResult>::Done(std::move(none), budget.Report());
-  }
-  RunSerialHomKernel(a, b, ToKernelOptions(plan), budget,
-                     [&](const std::vector<int>& h) {
-                       if (!plan.problem.callback(h)) {
-                         callback_stopped = true;
-                         return false;
-                       }
-                       return true;
-                     });
-  if (callback_stopped) {
+  const bool has = plan.problem.mode == HomQueryMode::kHas;
+  const HomCache::Kind kind =
+      has ? HomCache::Kind::kHas : HomCache::Kind::kCount;
+  if (trace != nullptr) trace->cache_consulted = true;
+  bool lookup_failed = false;
+  if (auto hit = HomCache::Global().Lookup(
+          plan.source_fingerprint, plan.target_fingerprint,
+          plan.options_digest, kind, &lookup_failed)) {
+    if (trace != nullptr) trace->cache_hit = true;
     HomResult result;
-    result.enumeration_completed = false;
+    if (has) {
+      result.has = (*hit != 0);
+    } else {
+      result.count = *hit;
+    }
     return Outcome<HomResult>::Done(std::move(result), budget.Report());
   }
-  if (budget.Stopped()) {
-    return Outcome<HomResult>::StoppedShort(budget.Report());
+  if (lookup_failed) DegradeFailedLookup(plan, trace);
+  auto out = Dispatch(DegradeForDispatch(ReplanUncached(plan), plan, trace),
+                      budget);
+  // Only completed answers are cached; an exhausted search proves
+  // nothing about the pair.
+  if (!out.IsDone()) return out;
+  const uint64_t value = has ? (out.Value().has ? 1 : 0) : out.Value().count;
+  if (HomCache::Global().Insert(plan.source_fingerprint,
+                                plan.target_fingerprint, plan.options_digest,
+                                kind, value)) {
+    if (trace != nullptr) trace->cache_stored = true;
+  } else {
+    RecordDegradation(plan, trace, DegradationKind::kCacheInsertSkipped,
+                      "hom_cache/shard_insert",
+                      "completed answer not memoized");
   }
-  HomResult result;
-  result.enumeration_completed = true;
-  return Outcome<HomResult>::Done(std::move(result), budget.Report());
+  return out;
 }
 
 }  // namespace
@@ -462,21 +341,10 @@ Outcome<HomResult> Engine::Execute(const HomPlan& plan, Budget& budget,
   const uint64_t steps_before = budget.Report().steps_used;
   // The plan's degradation log describes one execution; start fresh.
   plan.degradations.clear();
-  Outcome<HomResult> out = [&] {
-    switch (plan.problem.mode) {
-      case HomQueryMode::kHas:
-        return ExecuteHas(plan, budget, trace);
-      case HomQueryMode::kFind:
-        return ExecuteFind(plan, budget, trace);
-      case HomQueryMode::kCount:
-        return ExecuteCount(plan, budget, trace);
-      case HomQueryMode::kEnumerate:
-      case HomQueryMode::kProject:
-        return ExecuteStream(plan, budget, trace);
-    }
-    HOMPRES_CHECK(false);
-    return Outcome<HomResult>::StoppedShort(BudgetReport{});
-  }();
+  Outcome<HomResult> out =
+      plan.consult_cache
+          ? ExecuteCached(plan, budget, trace)
+          : Dispatch(DegradeForDispatch(plan, plan, trace), budget);
   if (trace != nullptr) {
     trace->steps_charged = budget.Report().steps_used - steps_before;
   }

@@ -10,8 +10,8 @@
 // case (strict planning, default-constructed or caller-valid config —
 // an invalid config is a programming error there and fails hard).
 //
-// The legacy hom/homomorphism.h entry points are now thin shims over
-// this engine, planning in compatibility mode.
+// The hom/homomorphism.h free functions take the same EngineConfig and
+// run this engine, planning in compatibility mode.
 
 #ifndef HOMPRES_ENGINE_ENGINE_H_
 #define HOMPRES_ENGINE_ENGINE_H_

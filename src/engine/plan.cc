@@ -227,7 +227,7 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
   const Structure& b = *problem.target;
 
   // Caller bugs: structured errors under strict planning, hard failures
-  // under compat (the legacy entry points CHECKed these).
+  // under compat (the hom/homomorphism.h free functions CHECK these).
   if (!(a.GetVocabulary() == b.GetVocabulary())) {
     if (mode == PlanMode::kStrict) {
       return MakeError(PlanErrorCode::kVocabularyMismatch,
@@ -283,7 +283,6 @@ PlanResult PlanHomQuery(const HomProblem& problem, const EngineConfig& config,
   plan.kernel = plan.config.use_arc_consistency
                     ? SerialKernel::kArcConsistencyBitset
                     : SerialKernel::kNaiveBacktracking;
-  plan.use_index = plan.config.use_index && plan.config.use_arc_consistency;
 
   // Pass 3: cache consult. Dispatch planning is deferred: a hit answers
   // from the fingerprint key alone, and the miss path re-plans without
@@ -382,7 +381,7 @@ std::string HomPlan::Explain() const {
   if (consult_cache) s += " (deferred: re-planned on cache miss)";
   s += "\n  kernel: ";
   s += SerialKernelName(kernel);
-  s += use_index ? " (index narrowing on)" : " (index narrowing off)";
+  s += config.use_index ? " (index narrowing on)" : " (index narrowing off)";
   s += "\n  simd: ";
   s += simd::SimdLevelName(simd::ActiveSimdLevel());
   s += " (detected ";

@@ -9,8 +9,8 @@
 //      surjectivity or forced pairs, index narrowing without arc
 //      consistency — is either a structured PlanError (strict mode) or
 //      normalized away with a recorded adjustment (compatibility mode,
-//      used by the legacy HomOptions entry points to preserve their
-//      historical silent behavior). Mode-driven normalizations
+//      used by the hom/homomorphism.h free functions, which have always
+//      normalized silently). Mode-driven normalizations
 //      (enumeration and projection are always serial and monolithic) are
 //      adjustments in both modes.
 //   2. Forced-pair range check: a pair naming an element outside either
@@ -118,9 +118,10 @@ struct HomPlan {
   HomProblem problem;
   EngineConfig config;  // normalized by the validation pass
 
+  // Engine dispatch switches on the strategy. Index narrowing is
+  // config.use_index: validation clears it without arc consistency.
   ExecStrategy strategy = ExecStrategy::kSerial;
   SerialKernel kernel = SerialKernel::kArcConsistencyBitset;
-  bool use_index = false;  // effective index narrowing in the kernel
 
   // Cache pass. When consult_cache is set, strategy describes nothing:
   // dispatch is deferred to the cache-miss path (which re-plans without
@@ -135,7 +136,8 @@ struct HomPlan {
   std::vector<std::vector<int>> components;
 
   // Parallel pass: split elements (occurrence order) and the task count
-  // their value ranges cross into; meaningful for kParallelSplit.
+  // their value ranges cross into; meaningful for kParallelSplit, whose
+  // driver (hom/parallel.h) runs one subtree task per assignment.
   std::vector<int> split_elements;
   size_t split_tasks = 1;
 

@@ -1,65 +1,21 @@
 #include "hom/hom_cache.h"
 
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-
-#include "base/failpoint.h"
 #include "base/hash.h"
 
 namespace hompres {
 
-namespace {
-
-struct Key {
-  uint64_t source_fp;
-  uint64_t target_fp;
-  uint64_t options_digest;
-  uint8_t kind;
-
-  friend bool operator==(const Key& a, const Key& b) {
-    return a.source_fp == b.source_fp && a.target_fp == b.target_fp &&
-           a.options_digest == b.options_digest && a.kind == b.kind;
-  }
-};
-
-struct KeyHash {
-  size_t operator()(const Key& k) const {
-    uint64_t h = Mix64(k.source_fp);
-    h = Mix64(h ^ k.target_fp);
-    h = Mix64(h ^ k.options_digest);
-    h = Mix64(h ^ k.kind);
-    return static_cast<size_t>(h);
-  }
-};
-
-}  // namespace
-
-// One independently locked LRU table. `order` is most-recent-first; the
-// map holds iterators into it so both lookup-refresh and tail eviction
-// are O(1).
-struct HomCache::Shard {
-  std::mutex mu;
-  std::list<std::pair<Key, uint64_t>> order;
-  std::unordered_map<Key, std::list<std::pair<Key, uint64_t>>::iterator,
-                     KeyHash>
-      table;
-  HomCacheStats stats;
-};
-
-namespace {
-
-inline int ShardOf(uint64_t source_fp, uint64_t target_fp) {
-  return static_cast<int>(Mix64(source_fp ^ (target_fp * 0x9E3779B97F4A7C15ULL)) &
-                          15u);
+size_t HomCache::KeyHash::operator()(const Key& k) const {
+  uint64_t h = Mix64(k.source_fp);
+  h = Mix64(h ^ k.target_fp);
+  h = Mix64(h ^ k.options_digest);
+  h = Mix64(h ^ k.kind);
+  return static_cast<size_t>(h);
 }
 
-}  // namespace
-
-HomCache::HomCache() : shards_(new Shard[kNumShards]) {}
-
-HomCache::~HomCache() { delete[] shards_; }
+size_t HomCache::PairHash::operator()(const Key& k) const {
+  return static_cast<size_t>(
+      Mix64(k.source_fp ^ (k.target_fp * 0x9E3779B97F4A7C15ULL)));
+}
 
 HomCache& HomCache::Global() {
   // Leaked intentionally: solver calls may run during static destruction
@@ -73,83 +29,20 @@ std::optional<uint64_t> HomCache::Lookup(uint64_t source_fp,
                                          uint64_t target_fp,
                                          uint64_t options_digest, Kind kind,
                                          bool* failed) {
-  if (failed != nullptr) *failed = false;
-  Shard& shard = shards_[ShardOf(source_fp, target_fp)];
-  const Key key{source_fp, target_fp, options_digest,
-                static_cast<uint8_t>(kind)};
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (HOMPRES_FAILPOINT("hom_cache/lookup")) {
-    ++shard.stats.failed_lookups;
-    if (failed != nullptr) *failed = true;
-    return std::nullopt;
-  }
-  auto it = shard.table.find(key);
-  if (it == shard.table.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  ++shard.stats.hits;
-  // Refresh: splice the entry to the front of the recency list.
-  shard.order.splice(shard.order.begin(), shard.order, it->second);
-  return it->second->second;
+  return table_.Lookup(
+      Key{source_fp, target_fp, options_digest, static_cast<uint8_t>(kind)},
+      failed);
 }
 
 bool HomCache::Insert(uint64_t source_fp, uint64_t target_fp,
                       uint64_t options_digest, Kind kind, uint64_t value) {
-  Shard& shard = shards_[ShardOf(source_fp, target_fp)];
-  const Key key{source_fp, target_fp, options_digest,
-                static_cast<uint8_t>(kind)};
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (HOMPRES_FAILPOINT("hom_cache/shard_insert")) {
-    ++shard.stats.failed_insertions;
-    return false;
-  }
-  auto it = shard.table.find(key);
-  if (it != shard.table.end()) {
-    it->second->second = value;
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
-    return true;
-  }
-  if (shard.table.size() >= static_cast<size_t>(kShardCapacity)) {
-    shard.table.erase(shard.order.back().first);
-    shard.order.pop_back();
-    ++shard.stats.evictions;
-  }
-  shard.order.emplace_front(key, value);
-  shard.table.emplace(key, shard.order.begin());
-  ++shard.stats.insertions;
-  return true;
+  return table_.Insert(
+      Key{source_fp, target_fp, options_digest, static_cast<uint8_t>(kind)},
+      value);
 }
 
 void HomCache::EvictShardFor(uint64_t source_fp, uint64_t target_fp) {
-  Shard& shard = shards_[ShardOf(source_fp, target_fp)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.order.clear();
-  shard.table.clear();
-  ++shard.stats.shard_evictions;
-}
-
-void HomCache::Clear() {
-  for (int i = 0; i < kNumShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].order.clear();
-    shards_[i].table.clear();
-  }
-}
-
-HomCacheStats HomCache::Stats() const {
-  HomCacheStats total;
-  for (int i = 0; i < kNumShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total.hits += shards_[i].stats.hits;
-    total.misses += shards_[i].stats.misses;
-    total.insertions += shards_[i].stats.insertions;
-    total.evictions += shards_[i].stats.evictions;
-    total.failed_lookups += shards_[i].stats.failed_lookups;
-    total.failed_insertions += shards_[i].stats.failed_insertions;
-    total.shard_evictions += shards_[i].stats.shard_evictions;
-  }
-  return total;
+  table_.EvictShardOf(Key{source_fp, target_fp, 0, 0});
 }
 
 }  // namespace hompres

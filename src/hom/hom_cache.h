@@ -19,14 +19,14 @@
 // so they share entries. Only completed (Done) results are ever stored —
 // an exhausted search caches nothing.
 //
-// Caching is opt-in per call site (HomOptions::use_cache, default off):
-// the differential test harnesses compare engines against each other and
-// must not let one engine's memoized answer mask another's bug.
+// Caching is opt-in per call site (EngineConfig::use_cache, default
+// off): the differential test harnesses compare engines against each
+// other and must not let one engine's memoized answer mask another's
+// bug.
 //
-// Concurrency: the table is split into 16 shards, each a small
-// independently-locked LRU list, so parallel pipeline workers do not
-// serialize on one mutex. Capacity is bounded (kShardCapacity entries per
-// shard); eviction is least-recently-used per shard.
+// Storage is a ShardedLru (base/sharded_lru.h) of 16 shards x 1024
+// entries. An entry's shard depends on the structure pair alone, so
+// EvictShardFor drops every answer about that pair.
 
 #ifndef HOMPRES_HOM_HOM_CACHE_H_
 #define HOMPRES_HOM_HOM_CACHE_H_
@@ -34,19 +34,11 @@
 #include <cstdint>
 #include <optional>
 
+#include "base/sharded_lru.h"
+
 namespace hompres {
 
-struct HomCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  // Injected/real shard failures: lookups reported failed, insertions
-  // skipped, shards dropped by EvictShardFor.
-  uint64_t failed_lookups = 0;
-  uint64_t failed_insertions = 0;
-  uint64_t shard_evictions = 0;
-};
+using HomCacheStats = ShardedLruStats;
 
 class HomCache {
  public:
@@ -56,7 +48,7 @@ class HomCache {
     kCount = 1,  // value: CountHomomorphisms result under the keyed limit
   };
 
-  // The process-wide cache used by the solver entry points.
+  // The process-wide cache used by the engine.
   static HomCache& Global();
 
   // Looks up (source_fp, target_fp, options_digest, kind) and refreshes
@@ -83,21 +75,31 @@ class HomCache {
   void EvictShardFor(uint64_t source_fp, uint64_t target_fp);
 
   // Drops every entry (tests use this to isolate trials).
-  void Clear();
+  void Clear() { table_.Clear(); }
 
-  HomCacheStats Stats() const;
-
-  HomCache();
-  ~HomCache();
-  HomCache(const HomCache&) = delete;
-  HomCache& operator=(const HomCache&) = delete;
+  HomCacheStats Stats() const { return table_.Stats(); }
 
  private:
-  struct Shard;
   static constexpr int kNumShards = 16;
   static constexpr int kShardCapacity = 1024;
 
-  Shard* shards_;  // kNumShards of them
+  struct Key {
+    uint64_t source_fp;
+    uint64_t target_fp;
+    uint64_t options_digest;
+    uint8_t kind;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  struct PairHash {
+    size_t operator()(const Key& k) const;
+  };
+
+  ShardedLru<Key, uint64_t, KeyHash, PairHash> table_{
+      kNumShards, kShardCapacity, "hom_cache/lookup",
+      "hom_cache/shard_insert"};
 };
 
 }  // namespace hompres

@@ -92,26 +92,31 @@ struct Occurrence {
 
 class HomSearch {
  public:
-  HomSearch(const Structure& a, const Structure& b,
-            const KernelOptions& options, Budget& budget)
-      : a_(a), b_(b), options_(options), budget_(budget), ws_(lease_.Get()) {
-    n_ = a.UniverseSize();
-    m_ = b.UniverseSize();
+  HomSearch(const HomProblem& problem, const EngineConfig& config,
+            Budget& budget)
+      : a_(*problem.source),
+        b_(*problem.target),
+        problem_(problem),
+        config_(config),
+        budget_(budget),
+        ws_(lease_.Get()) {
+    n_ = a_.UniverseSize();
+    m_ = b_.UniverseSize();
     stride_ = bitset64::PaddedWordsFor(m_);
     size_t max_arity = 0;
-    for (int rel = 0; rel < a.GetVocabulary().NumRelations(); ++rel) {
-      for (const Tuple& t : a.Tuples(rel)) {
+    for (int rel = 0; rel < a_.GetVocabulary().NumRelations(); ++rel) {
+      for (const Tuple& t : a_.Tuples(rel)) {
         constraints_.push_back(TupleConstraint{rel, t});
         max_arity = std::max(max_arity, t.size());
       }
     }
     max_arity_ = static_cast<int>(max_arity);
-    if (options_.use_arc_consistency && options_.use_index &&
+    if (config_.use_arc_consistency && config_.use_index &&
         !constraints_.empty()) {
       // A failed index build (allocation failure or injected fault)
       // degrades to pure-scan propagation: same answers, more tuples
       // visited per revision.
-      index_ = b.TryIndex();
+      index_ = b_.TryIndex();
     }
     // Var -> constraints mentioning it (each constraint once), for the
     // propagation worklist; and per constraint its number of distinct
@@ -132,21 +137,21 @@ class HomSearch {
       }
       if (unassigned_in_[ci] >= 2) ++uncovered_;
     }
-    cutoff_ = options_.use_arc_consistency && !options_.surjective &&
-              options_.mode != HomQueryMode::kEnumerate;
-    if (options_.mode == HomQueryMode::kProject) {
+    cutoff_ = config_.use_arc_consistency && !config_.surjective &&
+              problem_.mode != HomQueryMode::kEnumerate;
+    if (problem_.mode == HomQueryMode::kProject) {
       is_free_.assign(static_cast<size_t>(n_), 0);
-      for (int e : options_.free) {
+      for (int e : problem_.free) {
         HOMPRES_CHECK(e >= 0 && e < n_);
         if (is_free_[static_cast<size_t>(e)]) continue;
         is_free_[static_cast<size_t>(e)] = 1;
         ++free_unbound_;
       }
-      answer_.resize(options_.free.size());
+      answer_.resize(problem_.free.size());
     }
   }
 
-  // Runs the search for options.mode, emitting through `emit` (see
+  // Runs the search for problem.mode, emitting through `emit` (see
   // kernel.h). Returns the count (kCount) or the number of emits. After
   // Run, the caller distinguishes "space exhausted" from "budget
   // exhausted" via budget_.Stopped().
@@ -155,14 +160,14 @@ class HomSearch {
     // A pre-assignment referencing an element outside either universe can
     // be satisfied by no map: report "no homomorphism" instead of
     // aborting (and never index past the domain rows).
-    for (const auto& [var, val] : options_.forced) {
+    for (const auto& [var, val] : config_.forced) {
       if (var < 0 || var >= n_ || val < 0 || val >= m_) return 0;
     }
     ws_.assignment.assign(static_cast<size_t>(n_), -1);
     if (n_ == 0) {
       // The empty map is the unique homomorphism; surjectivity requires an
       // empty target.
-      if (!options_.surjective || m_ == 0) EmitComplete();
+      if (!config_.surjective || m_ == 0) EmitComplete();
       return found_;
     }
     if (m_ == 0) return 0;  // nonempty universe cannot map anywhere
@@ -188,7 +193,7 @@ class HomSearch {
       std::memcpy(Row(words, v), ws_.full_row.data(), RowBytes());
       sizes[static_cast<size_t>(v)] = m_;
     }
-    for (const auto& [var, val] : options_.forced) {
+    for (const auto& [var, val] : config_.forced) {
       uint64_t* row = Row(words, var);
       const bool allowed = bitset64::Test(row, val);
       bitset64::ClearAll(row, stride_);
@@ -196,7 +201,7 @@ class HomSearch {
       bitset64::Set(row, val);
       sizes[static_cast<size_t>(var)] = 1;
     }
-    if (options_.use_arc_consistency && !Propagate(words, sizes)) return 0;
+    if (config_.use_arc_consistency && !Propagate(words, sizes)) return 0;
     stopped_ = false;
     Solve(0, words, sizes);
     return found_;
@@ -252,7 +257,7 @@ class HomSearch {
   void BuildAdjacency() {
     const int num_rels = b_.GetVocabulary().NumRelations();
     adjacency_base_.assign(static_cast<size_t>(num_rels), -1);
-    if (index_ == nullptr || !options_.use_arc_consistency) return;
+    if (index_ == nullptr || !config_.use_arc_consistency) return;
     size_t rows = 0;
     for (const TupleConstraint& c : constraints_) {
       if (c.pattern.size() != 2 || c.pattern[0] == c.pattern[1]) continue;
@@ -560,24 +565,24 @@ class HomSearch {
   // limit (the answer is then exactly the limit).
   void Tally(uint64_t homs) {
     found_ = SatAdd(found_, homs);
-    if (options_.limit != 0 && found_ >= options_.limit) {
-      found_ = options_.limit;
+    if (problem_.limit != 0 && found_ >= problem_.limit) {
+      found_ = problem_.limit;
       stopped_ = true;
     }
   }
 
   // The free elements' images as the projected answer tuple.
   void EmitAnswer() {
-    for (size_t i = 0; i < options_.free.size(); ++i) {
+    for (size_t i = 0; i < problem_.free.size(); ++i) {
       answer_[i] =
-          ws_.assignment[static_cast<size_t>(options_.free[i])];
+          ws_.assignment[static_cast<size_t>(problem_.free[i])];
     }
     Emit(answer_);
   }
 
   // ws_.assignment is a homomorphism — in kProject, its bound part is.
   void EmitComplete() {
-    switch (options_.mode) {
+    switch (problem_.mode) {
       case HomQueryMode::kCount:
         Tally(1);
         return;
@@ -599,7 +604,7 @@ class HomSearch {
   // kernel, AssignedConsistent). Returns whether it is a homomorphism of
   // the requested kind.
   bool EmitLeaf() {
-    if (options_.surjective) {
+    if (config_.surjective) {
       bitset64::ClearAll(ws_.covered.data(), stride_);
       for (int val : ws_.assignment) bitset64::Set(ws_.covered.data(), val);
       if (bitset64::Popcount(ws_.covered.data(), stride_) != m_) return false;
@@ -613,7 +618,7 @@ class HomSearch {
   // combination of the unassigned domains' values is a homomorphism.
   void EmitCovered(const AlignedWordPool& words,
                    const std::vector<int>& sizes) {
-    switch (options_.mode) {
+    switch (problem_.mode) {
       case HomQueryMode::kCount: {
         uint64_t product = 1;
         for (int v = 0; v < n_; ++v) {
@@ -676,7 +681,7 @@ class HomSearch {
     // the binding extends: the first homomorphism ends the subtree, and
     // the search backtracks to the deepest free element.
     const bool first_only =
-        options_.mode == HomQueryMode::kProject && free_unbound_ == 0;
+        problem_.mode == HomQueryMode::kProject && free_unbound_ == 0;
     Claim(var);
     bool found = false;
     // The next level's buffers are fixed for the whole value loop: each
@@ -695,14 +700,14 @@ class HomSearch {
       bitset64::Set(next_row, val);
       next_sizes[static_cast<size_t>(var)] = 1;
       bool feasible = true;
-      if (options_.use_arc_consistency) {
+      if (config_.use_arc_consistency) {
         // Only `var` changed relative to this level's propagated domains,
         // so the worklist starts from its constraints alone.
         feasible = Propagate(next_words, next_sizes, var);
       } else {
         feasible = AssignedConsistent();
       }
-      if (feasible && options_.surjective) {
+      if (feasible && config_.surjective) {
         feasible = SurjectivityPossible(next_words);
       }
       if (feasible) found |= Solve(level + 1, next_words, next_sizes);
@@ -715,7 +720,8 @@ class HomSearch {
 
   const Structure& a_;
   const Structure& b_;
-  KernelOptions options_;
+  const HomProblem& problem_;
+  const EngineConfig& config_;
   Budget& budget_;
   const RelationIndex* index_ = nullptr;  // null = pure-scan propagation
   std::vector<TupleConstraint> constraints_;
@@ -751,8 +757,7 @@ class HomSearch {
 }  // namespace
 
 uint64_t RunSerialHomKernel(
-    const Structure& a, const Structure& b, const KernelOptions& options,
-    Budget& budget,
+    const HomProblem& problem, const EngineConfig& config, Budget& budget,
     const std::function<bool(const std::vector<int>&)>& emit) {
   // An allocation failure while leasing or sizing the solver workspace
   // (real, or the injected "hom/workspace_alloc_hard" fault) is
@@ -766,7 +771,7 @@ uint64_t RunSerialHomKernel(
     return 0;
   }
   try {
-    HomSearch search(a, b, options, budget);
+    HomSearch search(problem, config, budget);
     return search.Run(emit);
   } catch (const std::bad_alloc&) {
     budget.ForceStop(StopReason::kMemory);
@@ -776,12 +781,11 @@ uint64_t RunSerialHomKernel(
 
 namespace {
 
-// Legacy shim: plan in compatibility mode (incompatible options are
-// silently normalized, exactly as the pre-engine entry points behaved)
-// and hand the plan to the engine.
-HomPlan CompatPlan(const HomProblem& problem, const HomOptions& options) {
-  PlanResult planned =
-      PlanHomQuery(problem, options.ToEngineConfig(), PlanMode::kCompat);
+// Plan in compatibility mode (incompatible settings are silently
+// normalized, as these entry points always behaved) and hand the plan to
+// the engine.
+HomPlan CompatPlan(const HomProblem& problem, const EngineConfig& config) {
+  PlanResult planned = PlanHomQuery(problem, config, PlanMode::kCompat);
   HOMPRES_CHECK(planned.plan.has_value());
   return *std::move(planned.plan);
 }
@@ -790,13 +794,13 @@ HomPlan CompatPlan(const HomProblem& problem, const HomOptions& options) {
 
 Outcome<std::optional<std::vector<int>>> FindHomomorphismBudgeted(
     const Structure& a, const Structure& b, Budget& budget,
-    const HomOptions& options) {
+    const EngineConfig& config) {
   using Result = Outcome<std::optional<std::vector<int>>>;
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = HomQueryMode::kFind;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
+  auto out = Engine::Execute(CompatPlan(problem, config), budget);
   if (!out.IsDone()) return Result::StoppedShort(out.Report());
   const BudgetReport report = out.Report();
   return Result::Done(std::move(out).TakeValue().witness, report);
@@ -804,25 +808,25 @@ Outcome<std::optional<std::vector<int>>> FindHomomorphismBudgeted(
 
 std::optional<std::vector<int>> FindHomomorphism(const Structure& a,
                                                  const Structure& b,
-                                                 const HomOptions& options) {
+                                                 const EngineConfig& config) {
   Budget unlimited = Budget::Unlimited();
-  return FindHomomorphismBudgeted(a, b, unlimited, options).Value();
+  return FindHomomorphismBudgeted(a, b, unlimited, config).Value();
 }
 
 bool HasHomomorphism(const Structure& a, const Structure& b,
-                     const HomOptions& options) {
+                     const EngineConfig& config) {
   Budget unlimited = Budget::Unlimited();
-  return HasHomomorphismBudgeted(a, b, unlimited, options).Value();
+  return HasHomomorphismBudgeted(a, b, unlimited, config).Value();
 }
 
 Outcome<bool> HasHomomorphismBudgeted(const Structure& a, const Structure& b,
                                       Budget& budget,
-                                      const HomOptions& options) {
+                                      const EngineConfig& config) {
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = HomQueryMode::kHas;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
+  auto out = Engine::Execute(CompatPlan(problem, config), budget);
   if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
   return Outcome<bool>::Done(out.Value().has, out.Report());
 }
@@ -849,21 +853,21 @@ bool AreHomEquivalent(const Structure& a, const Structure& b) {
 }
 
 uint64_t CountHomomorphisms(const Structure& a, const Structure& b,
-                            uint64_t limit, const HomOptions& options) {
+                            uint64_t limit, const EngineConfig& config) {
   Budget unlimited = Budget::Unlimited();
-  return CountHomomorphismsBudgeted(a, b, unlimited, limit, options).Value();
+  return CountHomomorphismsBudgeted(a, b, unlimited, limit, config).Value();
 }
 
 Outcome<uint64_t> CountHomomorphismsBudgeted(const Structure& a,
                                              const Structure& b,
                                              Budget& budget, uint64_t limit,
-                                             const HomOptions& options) {
+                                             const EngineConfig& config) {
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = HomQueryMode::kCount;
   problem.limit = limit;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
+  auto out = Engine::Execute(CompatPlan(problem, config), budget);
   if (!out.IsDone()) return Outcome<uint64_t>::StoppedShort(out.Report());
   return Outcome<uint64_t>::Done(out.Value().count, out.Report());
 }
@@ -871,21 +875,21 @@ Outcome<uint64_t> CountHomomorphismsBudgeted(const Structure& a,
 void EnumerateHomomorphisms(
     const Structure& a, const Structure& b,
     const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options) {
+    const EngineConfig& config) {
   Budget unlimited = Budget::Unlimited();
-  EnumerateHomomorphismsBudgeted(a, b, unlimited, callback, options);
+  EnumerateHomomorphismsBudgeted(a, b, unlimited, callback, config);
 }
 
 Outcome<bool> EnumerateHomomorphismsBudgeted(
     const Structure& a, const Structure& b, Budget& budget,
     const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options) {
+    const EngineConfig& config) {
   HomProblem problem;
   problem.source = &a;
   problem.target = &b;
   problem.mode = HomQueryMode::kEnumerate;
   problem.callback = callback;
-  auto out = Engine::Execute(CompatPlan(problem, options), budget);
+  auto out = Engine::Execute(CompatPlan(problem, config), budget);
   if (!out.IsDone()) return Outcome<bool>::StoppedShort(out.Report());
   return Outcome<bool>::Done(out.Value().enumeration_completed, out.Report());
 }

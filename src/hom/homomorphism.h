@@ -29,107 +29,30 @@
 
 namespace hompres {
 
-// Options for the homomorphism search.
-//
-// Compatibility shim: HomOptions predates the engine layer and survives
-// as a field-for-field mirror of EngineConfig (engine/config.h). The
-// entry points below plan in compatibility mode — incompatible
-// combinations (see engine/plan.h) are silently normalized, preserving
-// the historical behavior. New code should build an EngineConfig and
-// call the engine (engine/engine.h) directly, getting strict validation.
-struct HomOptions {
-  // Require the witness to be surjective onto the target's universe
-  // (used by Lemma 7.3: minimal models are surjective images).
-  bool surjective = false;
-
-  // Pre-assigned pairs (a, b): h(a) must equal b. Used for pointed
-  // structures / retraction searches. A pair referencing an element
-  // outside either universe is an unsatisfiable constraint: the search
-  // reports "no homomorphism" rather than aborting.
-  std::vector<std::pair<int, int>> forced;
-
-  // Disable arc consistency (naive backtracking baseline).
-  bool use_arc_consistency = true;
-
-  // Use the target's RelationIndex to narrow the tuple scans of the
-  // propagation loop to the candidates matching already-assigned
-  // (singleton-domain) positions. Bit-identical results — the index only
-  // excludes tuples the scan would have rejected — with fewer tuples
-  // visited. Off = the pure-scan engine, kept selectable for the
-  // differential tests and the indexed-vs-scan benches (E14). Only
-  // meaningful together with use_arc_consistency (the naive baseline
-  // probes single tuples and never scans).
-  bool use_index = true;
-
-  // Number of worker threads for the parallel engine (hom/parallel.h).
-  // 0 = serial search, bit-identical to the pre-parallel engine. With
-  // n > 0 the search splits the top decision levels into independent
-  // subtree tasks on a work-stealing pool; the has/none decision is the
-  // same as serial, but which witness is found depends on thread timing
-  // unless deterministic_witness is set.
-  int num_threads = 0;
-
-  // With num_threads > 0: return the witness of the lexicographically
-  // first completed subtree instead of the first finisher's, making the
-  // witness a deterministic function of the inputs (including
-  // num_threads). Costs some parallelism: subtrees left of a witness run
-  // to completion instead of being cancelled.
-  bool deterministic_witness = false;
-
-  // Factor the search through the connected components of the source's
-  // Gaifman graph: each component is solved independently, a witness is
-  // the concatenation of the per-component witnesses, and a count is the
-  // (saturating) product of the per-component counts. Off = the old
-  // monolithic search, kept selectable for the differential tests.
-  // Factorization is skipped (regardless of this flag) when it cannot be
-  // applied soundly: surjective mode (a global property) and pre-assigned
-  // `forced` pairs fall back to the monolithic engine. Answers are
-  // bit-identical either way; which witness is found may differ between
-  // the two modes (both always verify).
-  bool factorize = true;
-
-  // Consult and fill the global homomorphism-result cache
-  // (hom/hom_cache.h) in HasHomomorphismBudgeted /
-  // CountHomomorphismsBudgeted, keyed by the structures' value
-  // fingerprints. Off by default: the differential harnesses must not let
-  // one engine's memoized answer mask another engine's bug. The
-  // preservation pipeline, core search, and UCQ evaluation opt in.
-  bool use_cache = false;
-
-  // The engine-layer equivalent of these options (field for field).
-  EngineConfig ToEngineConfig() const {
-    EngineConfig config;
-    config.surjective = surjective;
-    config.forced = forced;
-    config.use_arc_consistency = use_arc_consistency;
-    config.use_index = use_index;
-    config.num_threads = num_threads;
-    config.deterministic_witness = deterministic_witness;
-    config.factorize = factorize;
-    config.use_cache = use_cache;
-    return config;
-  }
-};
+// Every entry point takes an EngineConfig (engine/config.h) and plans
+// in compatibility mode (engine/plan.h): incompatible settings, such as
+// factorize together with forced pairs, are normalized away rather than
+// rejected. Engine::Execute (engine/engine.h) is the strict-planning
+// alternative.
 
 // Returns a homomorphism from a to b as an element map, or nullopt.
 // Vocabularies must agree.
-std::optional<std::vector<int>> FindHomomorphism(const Structure& a,
-                                                 const Structure& b,
-                                                 const HomOptions& options = {});
+std::optional<std::vector<int>> FindHomomorphism(
+    const Structure& a, const Structure& b, const EngineConfig& config = {});
 
 // Budgeted search. Done(witness) / Done(nullopt = certainly none) /
 // Exhausted / Cancelled. A witness found just as the budget runs out is
 // still reported as Done.
 Outcome<std::optional<std::vector<int>>> FindHomomorphismBudgeted(
     const Structure& a, const Structure& b, Budget& budget,
-    const HomOptions& options = {});
+    const EngineConfig& config = {});
 
 bool HasHomomorphism(const Structure& a, const Structure& b,
-                     const HomOptions& options = {});
+                     const EngineConfig& config = {});
 
 Outcome<bool> HasHomomorphismBudgeted(const Structure& a, const Structure& b,
                                       Budget& budget,
-                                      const HomOptions& options = {});
+                                      const EngineConfig& config = {});
 
 // True iff h maps every tuple of a to a tuple of b (and is total/in-range).
 bool VerifyHomomorphism(const Structure& a, const Structure& b,
@@ -139,27 +62,25 @@ bool VerifyHomomorphism(const Structure& a, const Structure& b,
 bool AreHomEquivalent(const Structure& a, const Structure& b);
 
 // Counts homomorphisms a -> b, stopping at `limit` (0 = count all).
-// Honors options.surjective/forced; options.num_threads > 0 fans the
+// Honors config.surjective/forced; config.num_threads > 0 fans the
 // disjoint subtree counts out to the parallel engine.
 uint64_t CountHomomorphisms(const Structure& a, const Structure& b,
                             uint64_t limit = 0,
-                            const HomOptions& options = {});
+                            const EngineConfig& config = {});
 
 // Budgeted count: Done(count) only when the enumeration completed (or hit
 // `limit`); a partial count is never reported as an answer.
-Outcome<uint64_t> CountHomomorphismsBudgeted(const Structure& a,
-                                             const Structure& b,
-                                             Budget& budget,
-                                             uint64_t limit = 0,
-                                             const HomOptions& options = {});
+Outcome<uint64_t> CountHomomorphismsBudgeted(
+    const Structure& a, const Structure& b, Budget& budget,
+    uint64_t limit = 0, const EngineConfig& config = {});
 
 // Enumerates homomorphisms a -> b; the callback returns false to stop.
 // Enumeration is always serial (the callback is not required to be
-// thread-safe): options.num_threads is ignored here.
+// thread-safe): config.num_threads is ignored here.
 void EnumerateHomomorphisms(
     const Structure& a, const Structure& b,
     const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options = {});
+    const EngineConfig& config = {});
 
 // Budgeted enumeration. Done(true) = exhausted the solution space,
 // Done(false) = the callback stopped it; Exhausted/Cancelled = the budget
@@ -167,7 +88,7 @@ void EnumerateHomomorphisms(
 Outcome<bool> EnumerateHomomorphismsBudgeted(
     const Structure& a, const Structure& b, Budget& budget,
     const std::function<bool(const std::vector<int>&)>& callback,
-    const HomOptions& options = {});
+    const EngineConfig& config = {});
 
 }  // namespace hompres
 

@@ -6,7 +6,9 @@
 // backtracking search over candidate maps a -> b, with optional AC-3
 // bitset propagation and index-narrowed scans, answering one query mode.
 //
-// One entry point serves every mode (KernelOptions::mode):
+// Of the EngineConfig the kernel reads surjective, forced,
+// use_arc_consistency and use_index; the rest is orchestration. One entry
+// point serves every mode (HomProblem::mode):
 //   kHas, kFind  emit the first homomorphism the search reaches, then stop;
 //   kCount       emit nothing; the return value is the count, clamped at
 //                `limit` (0 = no clamp);
@@ -43,33 +45,21 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "base/budget.h"
+#include "engine/config.h"
 #include "engine/problem.h"
-#include "structure/structure.h"
 
 namespace hompres {
 
-// The query and the subset of the configuration the serial kernel reads.
-struct KernelOptions {
-  HomQueryMode mode = HomQueryMode::kEnumerate;
-  uint64_t limit = 0;     // kCount: stop at this many (0 = count all)
-  std::vector<int> free;  // kProject: the projected source elements
-  bool surjective = false;
-  std::vector<std::pair<int, int>> forced;
-  bool use_arc_consistency = true;
-  bool use_index = true;
-};
-
-// Runs the serial search for options.mode. Returns the homomorphism count
-// for kCount (clamped at options.limit) and the number of emitted maps or
-// tuples otherwise. Inspect `budget` afterwards to distinguish exhaustion
-// from a completed search.
+// Runs the serial search for problem.mode over problem.source ->
+// problem.target. Returns the homomorphism count for kCount (clamped at
+// problem.limit) and the number of emitted maps or tuples otherwise.
+// problem.callback is not called; answers go to `emit`. Inspect `budget`
+// afterwards to distinguish exhaustion from a completed search.
 uint64_t RunSerialHomKernel(
-    const Structure& a, const Structure& b, const KernelOptions& options,
-    Budget& budget,
+    const HomProblem& problem, const EngineConfig& config, Budget& budget,
     const std::function<bool(const std::vector<int>&)>& emit = {});
 
 }  // namespace hompres

@@ -1,14 +1,15 @@
 // Parallel homomorphism search (the CSP view of Chandra-Merlin, fanned
 // out over a work-stealing thread pool).
 //
-// The driver splits the search space at the top decision levels: it picks
-// the source elements that occur in the most tuples (the strongest
-// constraints), forms one task per assignment of target values to those
-// elements, and runs the existing serial AC-3 + smallest-domain-first
-// search inside each task with the split assignment passed as forced
-// pairs. Tasks are independent subtrees — their assignment sets partition
-// the full space — so existence, certain absence, and exact counts
-// compose without coordination beyond:
+// The driver runs a plan whose strategy is kParallelSplit (engine/plan.h).
+// The planner has chosen the split elements: the source elements that
+// occur in the most tuples (the strongest constraints). The driver forms
+// one task per assignment of target values to those elements and runs
+// the serial kernel (hom/kernel.h) inside each task, with the split
+// assignment appended to the forced pairs. Tasks are independent
+// subtrees — their assignment sets partition the full space — so
+// existence, certain absence, and exact counts compose without
+// coordination beyond:
 //
 //  - a shared atomic step counter (Budget::SpawnWorker) so the workers
 //    together respect the caller's step limit;
@@ -18,56 +19,35 @@
 //
 // Determinism: the has/none decision equals the serial engine's. The
 // witness returned depends on thread timing unless
-// options.deterministic_witness is set, in which case it is the witness
+// config.deterministic_witness is set, in which case it is the witness
 // of the lexicographically first subtree — a pure function of the inputs
-// and options (including num_threads), though not necessarily the same
+// and config (including num_threads), though not necessarily the same
 // map the serial engine finds. Under budget exhaustion the accounting is
 // approximate: concurrent workers may overshoot the step limit by up to
 // one step each.
 //
-// These entry points are normally reached through the HomOptions
-// num_threads field on the hom/homomorphism.h API; they are exported for
-// callers that want the parallel engine explicitly.
+// The engine (engine/engine.h) calls the driver after the degradation
+// ladder has run on the plan, so a task neither re-plans nor re-probes
+// a failpoint of the ladder.
 
 #ifndef HOMPRES_HOM_PARALLEL_H_
 #define HOMPRES_HOM_PARALLEL_H_
 
-#include <cstdint>
-#include <optional>
-#include <vector>
-
 #include "base/budget.h"
 #include "base/outcome.h"
-#include "hom/homomorphism.h"
-#include "structure/structure.h"
+#include "engine/engine.h"
+#include "engine/plan.h"
 
 namespace hompres {
 
-// Parallel witness search. options.num_threads <= 0 falls back to the
-// serial engine.
-std::optional<std::vector<int>> ParallelFindHomomorphism(
-    const Structure& a, const Structure& b, const HomOptions& options);
-
-Outcome<std::optional<std::vector<int>>> ParallelFindHomomorphismBudgeted(
-    const Structure& a, const Structure& b, Budget& budget,
-    const HomOptions& options);
-
-Outcome<bool> ParallelHasHomomorphismBudgeted(const Structure& a,
-                                              const Structure& b,
-                                              Budget& budget,
-                                              const HomOptions& options);
-
-// Parallel counting: subtree counts are summed (the subtrees partition
-// the assignment space, so the total is exact). With limit > 0 the count
-// stops early once `limit` homomorphisms have been seen across all
-// subtrees and returns `limit`, like the serial count.
-uint64_t ParallelCountHomomorphisms(const Structure& a, const Structure& b,
-                                    uint64_t limit,
-                                    const HomOptions& options);
-
-Outcome<uint64_t> ParallelCountHomomorphismsBudgeted(
-    const Structure& a, const Structure& b, Budget& budget, uint64_t limit,
-    const HomOptions& options);
+// Runs a kParallelSplit plan of mode kHas, kFind or kCount.
+//   kHas, kFind  has (and, for kFind, the witness) of the subtrees;
+//   kCount       the sum of the subtree counts, which is exact because
+//                the subtrees partition the assignment space. With
+//                limit > 0 the count stops once `limit` homomorphisms
+//                have been seen across all subtrees and reports `limit`,
+//                like the serial count.
+Outcome<HomResult> RunParallelSplit(const HomPlan& plan, Budget& budget);
 
 }  // namespace hompres
 

@@ -1,12 +1,11 @@
 #include "opt/canonical.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "base/check.h"
 #include "base/hash.h"
+#include "base/sharded_lru.h"
 
 namespace hompres {
 
@@ -289,18 +288,12 @@ namespace {
 // never go stale; a 64-bit key collision returns the colliding query's
 // fingerprint — the same ~2^-64 soundness class as the hom cache and
 // the containment-verdict cache, both of which key by
-// Structure::Fingerprint() already. Bounded by wholesale reset: the
-// optimizer re-fingerprints the same disjuncts on every pass over a
-// recurring union (preservation retries, hompresd batches), which is
-// exactly the hit profile a tiny map serves.
-struct FingerprintMemo {
-  static constexpr size_t kCapacity = 1 << 12;
-  std::mutex mu;
-  std::unordered_map<uint64_t, uint64_t> map;
-};
-
-FingerprintMemo& Memo() {
-  static FingerprintMemo* memo = new FingerprintMemo();
+// Structure::Fingerprint() already. The optimizer re-fingerprints the
+// same disjuncts on every pass over a recurring union (preservation
+// retries, hompresd batches), which is exactly the hit profile a small
+// LRU serves: 16 shards x 256 entries.
+ShardedLru<uint64_t, uint64_t>& Memo() {
+  static auto* memo = new ShardedLru<uint64_t, uint64_t>(16, 256);
   return *memo;
 }
 
@@ -317,18 +310,9 @@ uint64_t MemoKey(const ConjunctiveQuery& q) {
 
 uint64_t CqFingerprint(const ConjunctiveQuery& q) {
   const uint64_t key = MemoKey(q);
-  FingerprintMemo& memo = Memo();
-  {
-    std::lock_guard<std::mutex> lock(memo.mu);
-    auto it = memo.map.find(key);
-    if (it != memo.map.end()) return it->second;
-  }
+  if (auto hit = Memo().Lookup(key)) return *hit;
   const uint64_t fingerprint = CanonicalForm(q).fingerprint;
-  {
-    std::lock_guard<std::mutex> lock(memo.mu);
-    if (memo.map.size() >= FingerprintMemo::kCapacity) memo.map.clear();
-    memo.map.emplace(key, fingerprint);
-  }
+  Memo().Insert(key, fingerprint);
   return fingerprint;
 }
 

@@ -1,177 +1,31 @@
 #include "opt/containment_cache.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-
-#include "base/failpoint.h"
 #include "base/hash.h"
 
 namespace hompres {
 
-namespace {
-
-struct Key {
-  uint64_t fp1;
-  uint64_t fp2;
-
-  friend bool operator==(const Key& a, const Key& b) {
-    return a.fp1 == b.fp1 && a.fp2 == b.fp2;
-  }
-};
-
-struct KeyHash {
-  size_t operator()(const Key& k) const {
-    return static_cast<size_t>(Mix64(Mix64(k.fp1) ^ k.fp2));
-  }
-};
-
-inline int ShardOf(uint64_t fp1, uint64_t fp2) {
-  return static_cast<int>(Mix64(fp1 ^ (fp2 * 0x9E3779B97F4A7C15ULL)) & 15u);
+size_t ContainmentCache::KeyHash::operator()(const Key& k) const {
+  return static_cast<size_t>(Mix64(Mix64(k.fp1) ^ k.fp2));
 }
-
-}  // namespace
-
-// One independently locked LRU table, HomCache-style: `order` is
-// most-recent-first and the map holds iterators into it, so both
-// lookup-refresh and tail eviction are O(1). Capacity is shared across
-// shards through one atomic so SetTotalCapacity needs no locks.
-struct ContainmentCache::Shard {
-  std::mutex mu;
-  std::list<std::pair<Key, bool>> order;
-  std::unordered_map<Key, std::list<std::pair<Key, bool>>::iterator, KeyHash>
-      table;
-  ContainmentCacheStats stats;
-  std::atomic<uint64_t>* capacity = nullptr;  // per-shard cap, shared owner
-};
-
-namespace {
-
-// The per-shard capacity lives outside the shard array so the cache
-// object stays trivially destructible in the leaked-singleton pattern.
-std::atomic<uint64_t>& ShardCapacity() {
-  static std::atomic<uint64_t> capacity{
-      ContainmentCache::kDefaultShardCapacity};
-  return capacity;
-}
-
-}  // namespace
-
-ContainmentCache::ContainmentCache() : shards_(new Shard[kNumShards]) {
-  for (int i = 0; i < kNumShards; ++i) {
-    shards_[i].capacity = &ShardCapacity();
-  }
-}
-
-ContainmentCache::~ContainmentCache() { delete[] shards_; }
 
 ContainmentCache& ContainmentCache::Global() {
   // Leaked intentionally, like HomCache::Global(): optimizer calls may
   // run during static destruction of test fixtures.
-  static ContainmentCache* cache = [] {
-    auto* c = new ContainmentCache();
-    if (const char* env = std::getenv("HOMPRES_CONTAINMENT_CACHE")) {
-      char* end = nullptr;
-      const unsigned long long total = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') {
-        c->SetTotalCapacity(static_cast<uint64_t>(total));
-      }
-    }
-    return c;
-  }();
+  static ContainmentCache* cache = new ContainmentCache();
   return *cache;
 }
 
 std::optional<bool> ContainmentCache::Lookup(uint64_t fp1, uint64_t fp2,
                                              bool* failed) {
-  if (failed != nullptr) *failed = false;
-  Shard& shard = shards_[ShardOf(fp1, fp2)];
-  const Key key{fp1, fp2};
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (HOMPRES_FAILPOINT("containment_cache/lookup")) {
-    ++shard.stats.failed_lookups;
-    if (failed != nullptr) *failed = true;
-    return std::nullopt;
-  }
-  auto it = shard.table.find(key);
-  if (it == shard.table.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  ++shard.stats.hits;
-  shard.order.splice(shard.order.begin(), shard.order, it->second);
-  return it->second->second;
+  return table_.Lookup(Key{fp1, fp2}, failed);
 }
 
 bool ContainmentCache::Insert(uint64_t fp1, uint64_t fp2, bool contained) {
-  Shard& shard = shards_[ShardOf(fp1, fp2)];
-  const Key key{fp1, fp2};
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (HOMPRES_FAILPOINT("containment_cache/insert")) {
-    ++shard.stats.failed_insertions;
-    return false;
-  }
-  auto it = shard.table.find(key);
-  if (it != shard.table.end()) {
-    it->second->second = contained;
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
-    return true;
-  }
-  const uint64_t capacity =
-      shard.capacity->load(std::memory_order_relaxed);
-  while (shard.table.size() >= capacity && !shard.order.empty()) {
-    shard.table.erase(shard.order.back().first);
-    shard.order.pop_back();
-    ++shard.stats.evictions;
-  }
-  shard.order.emplace_front(key, contained);
-  shard.table.emplace(key, shard.order.begin());
-  ++shard.stats.insertions;
-  return true;
+  return table_.Insert(Key{fp1, fp2}, contained);
 }
 
 void ContainmentCache::EvictShardFor(uint64_t fp1, uint64_t fp2) {
-  Shard& shard = shards_[ShardOf(fp1, fp2)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.order.clear();
-  shard.table.clear();
-  ++shard.stats.shard_evictions;
-}
-
-void ContainmentCache::Clear() {
-  for (int i = 0; i < kNumShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].order.clear();
-    shards_[i].table.clear();
-  }
-}
-
-void ContainmentCache::SetTotalCapacity(uint64_t total_entries) {
-  uint64_t per_shard = total_entries / kNumShards;
-  if (per_shard == 0) per_shard = 1;
-  ShardCapacity().store(per_shard, std::memory_order_relaxed);
-}
-
-uint64_t ContainmentCache::TotalCapacity() const {
-  return ShardCapacity().load(std::memory_order_relaxed) * kNumShards;
-}
-
-ContainmentCacheStats ContainmentCache::Stats() const {
-  ContainmentCacheStats total;
-  for (int i = 0; i < kNumShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total.hits += shards_[i].stats.hits;
-    total.misses += shards_[i].stats.misses;
-    total.insertions += shards_[i].stats.insertions;
-    total.evictions += shards_[i].stats.evictions;
-    total.failed_lookups += shards_[i].stats.failed_lookups;
-    total.failed_insertions += shards_[i].stats.failed_insertions;
-    total.shard_evictions += shards_[i].stats.shard_evictions;
-  }
-  return total;
+  table_.EvictShardOf(Key{fp1, fp2});
 }
 
 }  // namespace hompres

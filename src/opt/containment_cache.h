@@ -18,11 +18,10 @@
 // only inserted for searches that ran to completion; the optimizer
 // never caches an exhausted probe.
 //
-// Concurrency and bounds mirror HomCache: 16 independently locked LRU
-// shards; per-shard capacity defaults to kDefaultShardCapacity and is
-// adjustable process-wide via SetTotalCapacity (the hompresd
-// --containment-cache-capacity knob and the HOMPRES_CONTAINMENT_CACHE
-// environment variable; see README).
+// Storage is a ShardedLru (base/sharded_lru.h) of 16 shards. Its
+// capacity defaults to kDefaultShardCapacity entries per shard and is
+// set per instance with SetTotalCapacity (hompresd's
+// --containment-cache-capacity knob sets the global instance's).
 
 #ifndef HOMPRES_OPT_CONTAINMENT_CACHE_H_
 #define HOMPRES_OPT_CONTAINMENT_CACHE_H_
@@ -30,34 +29,15 @@
 #include <cstdint>
 #include <optional>
 
+#include "base/sharded_lru.h"
+
 namespace hompres {
 
-struct ContainmentCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  // Injected/real shard failures: lookups reported failed, insertions
-  // skipped, shards dropped by EvictShardFor.
-  uint64_t failed_lookups = 0;
-  uint64_t failed_insertions = 0;
-  uint64_t shard_evictions = 0;
-
-  uint64_t Lookups() const { return hits + misses; }
-  // Integer percentage of lookups answered from the cache (0 when no
-  // lookup has happened); the value Summary()'s ccache-hit-rate token
-  // and the bench JSON counters report.
-  uint64_t HitRatePercent() const {
-    const uint64_t lookups = Lookups();
-    return lookups == 0 ? 0 : (hits * 100) / lookups;
-  }
-};
+using ContainmentCacheStats = ShardedLruStats;
 
 class ContainmentCache {
  public:
-  // The process-wide cache used by the optimizer entry points. Initial
-  // capacity honors the HOMPRES_CONTAINMENT_CACHE environment variable
-  // (total entries) when set.
+  // The process-wide cache used by the optimizer entry points.
   static ContainmentCache& Global();
 
   // Looks up the verdict for "fp1 ⊆ fp2" and refreshes its LRU
@@ -80,28 +60,36 @@ class ContainmentCache {
   void EvictShardFor(uint64_t fp1, uint64_t fp2);
 
   // Drops every entry (tests use this to isolate trials).
-  void Clear();
+  void Clear() { table_.Clear(); }
 
-  // Caps the cache at `total_entries` across all shards (rounded up to
+  // Caps this cache at `total_entries` across all shards (rounded up to
   // one entry per shard). Existing shards over the new cap shed their
   // LRU tails on their next insert.
-  void SetTotalCapacity(uint64_t total_entries);
-  uint64_t TotalCapacity() const;
+  void SetTotalCapacity(uint64_t total_entries) {
+    table_.SetShardCapacity(total_entries / kNumShards);
+  }
+  uint64_t TotalCapacity() const {
+    return table_.ShardCapacity() * kNumShards;
+  }
 
-  ContainmentCacheStats Stats() const;
-
-  ContainmentCache();
-  ~ContainmentCache();
-  ContainmentCache(const ContainmentCache&) = delete;
-  ContainmentCache& operator=(const ContainmentCache&) = delete;
+  ContainmentCacheStats Stats() const { return table_.Stats(); }
 
   static constexpr int kNumShards = 16;
   static constexpr int kDefaultShardCapacity = 1024;
 
  private:
-  struct Shard;
+  struct Key {
+    uint64_t fp1;
+    uint64_t fp2;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
 
-  Shard* shards_;  // kNumShards of them
+  ShardedLru<Key, bool, KeyHash> table_{
+      kNumShards, kDefaultShardCapacity, "containment_cache/lookup",
+      "containment_cache/insert"};
 };
 
 }  // namespace hompres

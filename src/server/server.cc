@@ -23,6 +23,7 @@
 #include "base/budget.h"
 #include "base/failpoint.h"
 #include "base/outcome.h"
+#include "base/sharded_lru.h"
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "datalog/incremental.h"
@@ -169,46 +170,25 @@ struct Server::Impl {
   // the same union — even re-sent with permuted disjuncts or renamed
   // variables — pays one optimization pass. Entries are immutable
   // snapshots, so in-flight requests pinning one are unaffected by
-  // eviction. Bounded FIFO (kUcqMemoCapacity) under its own lock; the
-  // ContainmentCache underneath keeps the pairwise verdicts warm even
-  // across evictions.
-  static constexpr size_t kUcqMemoCapacity = 128;
-  std::mutex ucq_memo_mu;
-  std::unordered_map<uint64_t, std::shared_ptr<const UnionOfCq>> ucq_memo;
-  std::deque<uint64_t> ucq_memo_order;
-  std::atomic<uint64_t> ucq_memo_hits{0};
-  std::atomic<uint64_t> ucq_memo_misses{0};
+  // eviction. One LRU shard of 128 entries; the ContainmentCache
+  // underneath keeps the pairwise verdicts warm even across evictions.
+  ShardedLru<uint64_t, std::shared_ptr<const UnionOfCq>> ucq_memo{1, 128};
 
   // The memoized optimization of `q` (computing and inserting it on the
   // first sight of its fingerprint). Two workers racing on a new
-  // fingerprint both compute — same deterministic result, one copy
-  // wins — rather than serializing every UCQ behind one optimizing
-  // thread.
+  // fingerprint both compute the same deterministic result, and the
+  // later insert refreshes the entry, rather than serializing every UCQ
+  // behind one optimizing thread.
   std::shared_ptr<const UnionOfCq> OptimizedUcq(const UnionOfCq& q) {
     const uint64_t fingerprint = UcqFingerprint(q);
-    {
-      std::lock_guard<std::mutex> lock(ucq_memo_mu);
-      auto it = ucq_memo.find(fingerprint);
-      if (it != ucq_memo.end()) {
-        ucq_memo_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-    ucq_memo_misses.fetch_add(1, std::memory_order_relaxed);
+    if (auto hit = ucq_memo.Lookup(fingerprint)) return *std::move(hit);
     Budget budget = Budget::MaxSteps(options.optimize_max_steps);
     // An exhausted pass returns the input unchanged (still equivalent);
     // memoizing that result keeps a pathological union from re-running
     // the optimizer on every request.
     auto optimized = std::make_shared<const UnionOfCq>(
         OptimizeUcqBudgeted(q, budget));
-    std::lock_guard<std::mutex> lock(ucq_memo_mu);
-    auto [it, inserted] = ucq_memo.emplace(fingerprint, optimized);
-    if (!inserted) return it->second;  // a racer beat us; use its copy
-    ucq_memo_order.push_back(fingerprint);
-    while (ucq_memo.size() > kUcqMemoCapacity) {
-      ucq_memo.erase(ucq_memo_order.front());
-      ucq_memo_order.pop_front();
-    }
+    ucq_memo.Insert(fingerprint, optimized);
     return optimized;
   }
 
@@ -1007,14 +987,10 @@ struct Server::Impl {
                     JsonValue::Uint(ccache.HitRatePercent()));
     response.Set("containment_cache", std::move(ccache_json));
     JsonValue memo_json = JsonValue::Object();
-    memo_json.Set("hits", JsonValue::Uint(
-                              ucq_memo_hits.load(std::memory_order_relaxed)));
-    memo_json.Set("misses", JsonValue::Uint(ucq_memo_misses.load(
-                                std::memory_order_relaxed)));
-    {
-      std::lock_guard<std::mutex> lock(ucq_memo_mu);
-      memo_json.Set("size", JsonValue::Uint(ucq_memo.size()));
-    }
+    const ShardedLruStats memo = ucq_memo.Stats();
+    memo_json.Set("hits", JsonValue::Uint(memo.hits));
+    memo_json.Set("misses", JsonValue::Uint(memo.misses));
+    memo_json.Set("size", JsonValue::Uint(ucq_memo.Size()));
     response.Set("ucq_memo", std::move(memo_json));
     JsonValue views_json = JsonValue::Object();
     views_json.Set("maintained", JsonValue::Uint(views_maintained.load(

@@ -45,7 +45,6 @@
 #include "graph/graph.h"
 #include "hom/hom_cache.h"
 #include "hom/homomorphism.h"
-#include "hom/parallel.h"
 #include "opt/containment_cache.h"
 #include "opt/optimizer.h"
 #include "server/client.h"
@@ -784,14 +783,68 @@ TEST_F(ChaosTest, ThrowingParallelTaskCancelsTheRegion) {
   ASSERT_TRUE(registry.Arm("parallel/task_throw", "always"));
   const Structure a = TwoEdges();
   const Structure b = Triangle();
-  HomOptions options;
-  options.num_threads = 2;
+  HomProblem find;
+  find.source = &a;
+  find.target = &b;
+  find.mode = HomQueryMode::kFind;
+  EngineConfig config;
+  config.num_threads = 2;
+  config.factorize = false;  // one split over the whole source
+  const PlanResult planned = PlanHomQuery(find, config);
+  ASSERT_TRUE(planned.plan.has_value());
+  ASSERT_EQ(planned.plan->strategy, ExecStrategy::kParallelSplit);
   Budget budget = Budget::Unlimited();
-  auto outcome = ParallelFindHomomorphismBudgeted(a, b, budget, options);
+  auto outcome = Engine::Execute(*planned.plan, budget);
   // Every subtree task throws; the region cancels cleanly instead of
   // calling std::terminate, and the stop is structured.
   EXPECT_FALSE(outcome.IsDone());
   EXPECT_TRUE(outcome.IsCancelled());
+}
+
+// A parallel execution probes each ladder failpoint once, at the root,
+// and every fire leaves a DegradationEvent on the root plan: the subtree
+// tasks run the kernel on the degraded plan instead of re-planning.
+TEST_F(ChaosTest, ParallelExecutionProbesTheLadderOnce) {
+  auto& registry = FailpointRegistry::Global();
+  const Structure c6 = UndirectedGraphStructure(CycleGraph(6));
+  const Structure k5 = UndirectedGraphStructure(CompleteGraph(5));
+  const uint64_t expected = CountHomomorphisms(c6, k5);
+  HomProblem count;
+  count.source = &c6;
+  count.target = &k5;
+  count.mode = HomQueryMode::kCount;
+  EngineConfig config;
+  config.num_threads = 2;
+  const PlanResult planned = PlanHomQuery(count, config);
+  ASSERT_TRUE(planned.plan.has_value());
+  ASSERT_EQ(planned.plan->strategy, ExecStrategy::kParallelSplit);
+  ASSERT_GE(planned.plan->split_tasks, 2u);
+  const auto ac_to_naive = [](const DegradationEvent& e) {
+    return e.kind == DegradationKind::kAcToNaive;
+  };
+
+  // A second probe would fire "nth:2"; there is none.
+  ASSERT_TRUE(registry.Arm("hom/workspace_alloc", "nth:2"));
+  Budget budget = Budget::Unlimited();
+  auto outcome = Engine::Execute(*planned.plan, budget);
+  ASSERT_TRUE(outcome.IsDone());
+  EXPECT_EQ(outcome.Value().count, expected);
+  EXPECT_EQ(registry.HitCount("hom/workspace_alloc"), 1u);
+  EXPECT_EQ(registry.FireCount("hom/workspace_alloc"), 0u);
+  EXPECT_TRUE(planned.plan->degradations.empty());
+
+  // The one probe fires: the root plan records it and every subtree
+  // runs the naive kernel, with the same count.
+  ASSERT_TRUE(registry.Arm("hom/workspace_alloc", "nth:1"));
+  Budget degraded_budget = Budget::Unlimited();
+  auto degraded = Engine::Execute(*planned.plan, degraded_budget);
+  ASSERT_TRUE(degraded.IsDone());
+  EXPECT_EQ(degraded.Value().count, expected);
+  EXPECT_EQ(registry.HitCount("hom/workspace_alloc"), 1u);
+  EXPECT_EQ(registry.FireCount("hom/workspace_alloc"), 1u);
+  EXPECT_EQ(std::count_if(planned.plan->degradations.begin(),
+                          planned.plan->degradations.end(), ac_to_naive),
+            1);
 }
 
 TEST_F(ChaosTest, TotalSpawnFailureDegradesSubmitToInline) {
@@ -853,12 +906,12 @@ TEST_F(ChaosTest, StealFaultsPreserveParallelAnswers) {
   auto& registry = FailpointRegistry::Global();
   const Structure a = TwoEdges();
   const Structure b = Triangle();
-  HomOptions serial;
+  EngineConfig serial;
   const uint64_t expected = CountHomomorphisms(a, b, /*limit=*/0, serial);
 
   registry.SetSeed(ChaosSeed());
   ASSERT_TRUE(registry.Arm("thread_pool/steal", "always"));
-  HomOptions parallel;
+  EngineConfig parallel;
   parallel.num_threads = 3;
   EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/0, parallel), expected);
   EXPECT_GT(registry.FireCount("thread_pool/steal"), 0u)

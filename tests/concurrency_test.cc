@@ -21,9 +21,12 @@
 #include "core/minimal_models.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
+#include "engine/config.h"
+#include "engine/engine.h"
 #include "graph/builders.h"
 #include "hom/core.h"
 #include "hom/homomorphism.h"
+#include "opt/optimizer.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
 
@@ -114,7 +117,7 @@ TEST(ThreadPool, ParallelForCoversRange) {
 TEST(ParallelBudget, StepExhaustionAcrossWorkers) {
   Structure a = MycielskiInstance(2);  // Grötzsch graph, chi = 4
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;  // force a deep search
   Budget budget = Budget::MaxSteps(50);
@@ -128,7 +131,7 @@ TEST(ParallelBudget, StepExhaustionAcrossWorkers) {
 TEST(ParallelBudget, StepExhaustionWhileCounting) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;
   Budget budget = Budget::MaxSteps(50);
@@ -140,7 +143,7 @@ TEST(ParallelBudget, StepExhaustionWhileCounting) {
 TEST(ParallelBudget, ExpiredDeadlineStopsWorkers) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   Budget budget = Budget::Timeout(std::chrono::nanoseconds(0));
   auto result = FindHomomorphismBudgeted(a, k3, budget, options);
@@ -151,7 +154,7 @@ TEST(ParallelBudget, ExpiredDeadlineStopsWorkers) {
 TEST(ParallelBudget, CancellationBeforeStart) {
   Structure a = MycielskiInstance(2);
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   std::atomic<bool> cancel{true};  // raised before the search begins
   Budget budget = Budget().WithCancelFlag(&cancel);
@@ -168,7 +171,7 @@ TEST(ParallelBudget, CancellationMidSearch) {
   // cancellation.
   Structure a = MycielskiInstance(3);
   Structure k4 = UndirectedGraphStructure(CompleteGraph(4));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   options.use_arc_consistency = false;
   std::atomic<bool> cancel{false};
@@ -190,7 +193,7 @@ TEST(ParallelBudget, CancellationMidSearch) {
 TEST(ParallelBudget, AmpleBudgetCompletesAndSettlesSteps) {
   Structure a = MycielskiInstance(2);
   Structure k4 = UndirectedGraphStructure(CompleteGraph(4));  // satisfiable
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 3;
   Budget budget = Budget::MaxSteps(1u << 20);
   auto result = FindHomomorphismBudgeted(a, k4, budget, options);
@@ -226,17 +229,55 @@ TEST(ParallelConsumers, DatalogMatchesSerial) {
   }
 }
 
+// UCQ satisfaction through the parallel paths production uses: each
+// disjunct's has and count run through the engine with three threads,
+// and the optimizer's parallel minimization, against the serial answers.
 TEST(ParallelConsumers, UcqSatisfactionMatchesSerial) {
   Rng rng(418);
   UnionOfCq q({ConjunctiveQuery::BooleanQueryOf(DirectedPathStructure(3)),
                ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(3)),
                ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(4))});
+  EngineConfig parallel;
+  parallel.num_threads = 3;
   for (int trial = 0; trial < 20; ++trial) {
     Structure b =
         RandomStructure(GraphVocabulary(), 2 + trial % 5, trial % 7, rng);
-    EXPECT_EQ(q.SatisfiedBy(b), q.SatisfiedBy(b, 3)) << "trial " << trial;
-    EXPECT_EQ(q.Evaluate(b), q.Evaluate(b, 3)) << "trial " << trial;
+    bool any = false;
+    for (const ConjunctiveQuery& d : q.Disjuncts()) {
+      Budget has_budget = Budget::Unlimited();
+      const bool has =
+          Engine::Has(d.Canonical(), b, has_budget, parallel).Value();
+      EXPECT_EQ(has, d.SatisfiedBy(b)) << "trial " << trial;
+      Budget count_budget = Budget::Unlimited();
+      EXPECT_EQ(
+          Engine::Count(d.Canonical(), b, count_budget, 0, parallel).Value(),
+          CountHomomorphisms(d.Canonical(), b))
+          << "trial " << trial;
+      any = any || has;
+    }
+    EXPECT_EQ(any, q.SatisfiedBy(b)) << "trial " << trial;
   }
+
+  // path3 is subsumed by path2, and the disjuncts carry redundant atoms
+  // for minimization to drop.
+  UnionOfCq redundant(
+      {ConjunctiveQuery::BooleanQueryOf(DirectedPathStructure(3)),
+       ConjunctiveQuery::BooleanQueryOf(DirectedPathStructure(2)),
+       ConjunctiveQuery::BooleanQueryOf(
+           UndirectedGraphStructure(CycleGraph(6))),
+       ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(4))});
+  OptimizerOptions serial_options;
+  serial_options.use_cache = false;  // every probe searches
+  OptimizerOptions parallel_options = serial_options;
+  parallel_options.num_threads = 3;
+  Budget serial_budget = Budget::Unlimited();
+  Budget parallel_budget = Budget::Unlimited();
+  const UnionOfCq serial_min =
+      OptimizeUcqBudgeted(redundant, serial_budget, serial_options);
+  const UnionOfCq parallel_min =
+      OptimizeUcqBudgeted(redundant, parallel_budget, parallel_options);
+  EXPECT_EQ(serial_min.ToString(), parallel_min.ToString());
+  EXPECT_LT(serial_min.Disjuncts().size(), redundant.Disjuncts().size());
 }
 
 TEST(ParallelConsumers, MinimalModelsMatchSerial) {
@@ -273,7 +314,7 @@ TEST(ParallelConsumers, CoreBudgetExhaustion) {
 TEST(ParallelConsumers, ManyThreadsSmallInstance) {
   Structure c3 = UndirectedGraphStructure(CycleGraph(3));
   Structure k3 = UndirectedGraphStructure(CompleteGraph(3));
-  HomOptions options;
+  EngineConfig options;
   options.num_threads = 16;
   EXPECT_TRUE(FindHomomorphism(c3, k3, options).has_value());
   EXPECT_EQ(CountHomomorphisms(c3, k3, 0, options), 6u);

@@ -9,6 +9,7 @@
 #include "cq/cq.h"
 #include "cq/ucq.h"
 #include "graph/builders.h"
+#include "opt/optimizer.h"
 #include "structure/generators.h"
 #include "structure/vocabulary.h"
 
@@ -355,10 +356,19 @@ TEST(Ucq, EquivalenceAfterReordering) {
   EXPECT_TRUE(UcqEquivalent(q1, q2));
 }
 
+// UCQ minimization is the optimizer pass, unbudgeted, with its
+// equivalence check.
+UnionOfCq Minimized(const UnionOfCq& q) {
+  OptimizerOptions options;
+  options.verify = true;
+  Budget unlimited = Budget::Unlimited();
+  return OptimizeUcqBudgeted(q, unlimited, options);
+}
+
 TEST(Ucq, MinimizeDropsSubsumedDisjuncts) {
   // path3 ⊆ path2 ⊆ path1, so the union collapses to path1.
   UnionOfCq q({PathQuery(3), PathQuery(2), PathQuery(1)});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 1u);
   EXPECT_TRUE(UcqEquivalent(q, minimized));
   // The survivor is the length-1 path query.
@@ -369,13 +379,13 @@ TEST(Ucq, MinimizeKeepsIncomparableDisjuncts) {
   // Directed 3-cycle and directed 4-cycle queries are incomparable.
   UnionOfCq q({ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(3)),
                ConjunctiveQuery::BooleanQueryOf(DirectedCycleStructure(4))});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 2u);
 }
 
 TEST(Ucq, MinimizeDeduplicatesEquivalentDisjuncts) {
   UnionOfCq q({PathQuery(2), PathQuery(2)});
-  UnionOfCq minimized = MinimizeUcq(q);
+  UnionOfCq minimized = Minimized(q);
   EXPECT_EQ(minimized.Disjuncts().size(), 1u);
 }
 

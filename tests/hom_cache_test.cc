@@ -103,9 +103,9 @@ TEST(HomCacheCorrectness, MutationAfterHitIsNeverServedStaleAnswers) {
   HomCache::Global().Clear();
   Rng rng(20260806);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
-  const HomOptions uncached;  // use_cache defaults to false
+  const EngineConfig uncached;  // use_cache defaults to false
   for (int trial = 0; trial < 60; ++trial) {
     Structure a = RandomStructure(voc, rng.UniformInt(1, 4),
                                   rng.UniformInt(0, 6), rng);
@@ -146,7 +146,7 @@ TEST(HomCacheCorrectness, LimitAndKindAreCacheKeyed) {
   const Vocabulary voc = GraphVocabulary();
   const Structure a(voc, 1);  // one isolated element
   const Structure b(voc, 3);  // three candidate images, no constraints
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
   EXPECT_TRUE(HasHomomorphism(a, b, cached));
   EXPECT_EQ(CountHomomorphisms(a, b, /*limit=*/1, cached), 1u);
@@ -163,9 +163,9 @@ TEST(HomCacheCorrectness, CachedAnswersMatchUncachedEngines) {
   HomCache::Global().Clear();
   Rng rng(20260807);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions cached;
+  EngineConfig cached;
   cached.use_cache = true;
-  const HomOptions uncached;
+  const EngineConfig uncached;
   const HomCacheStats before = HomCache::Global().Stats();
   for (int trial = 0; trial < 80; ++trial) {
     const Structure a = RandomStructure(voc, rng.UniformInt(1, 4),

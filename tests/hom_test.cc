@@ -89,7 +89,7 @@ TEST(Homomorphism, CountWithLimitStopsEarly) {
 TEST(Homomorphism, ForcedAssignments) {
   Structure p2 = DirectedPathStructure(2);
   Structure p4 = DirectedPathStructure(4);
-  HomOptions options;
+  EngineConfig options;
   options.forced = {{0, 2}};  // source edge start must map to element 2
   const auto h = FindHomomorphism(p2, p4, options);
   ASSERT_TRUE(h.has_value());
@@ -105,7 +105,7 @@ TEST(Homomorphism, SurjectiveWitness) {
   // surjective, so require target strictly smaller-image check instead:
   Structure c6 = DirectedCycleStructure(6);
   Structure c3 = DirectedCycleStructure(3);
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
   const auto h = FindHomomorphism(c6, c3, surjective);
   ASSERT_TRUE(h.has_value());
@@ -115,7 +115,7 @@ TEST(Homomorphism, SurjectiveWitness) {
 }
 
 TEST(Homomorphism, SurjectiveImpossibleWhenTargetLarger) {
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
   EXPECT_FALSE(FindHomomorphism(DirectedPathStructure(2),
                                 DirectedPathStructure(4), surjective)
@@ -128,7 +128,7 @@ TEST(Homomorphism, NaiveBaselineAgrees) {
   for (int trial = 0; trial < 20; ++trial) {
     Structure a = RandomStructure(voc, 5, 6, rng);
     Structure b = RandomStructure(voc, 4, 5, rng);
-    HomOptions naive;
+    EngineConfig naive;
     naive.use_arc_consistency = false;
     EXPECT_EQ(HasHomomorphism(a, b),
               FindHomomorphism(a, b, naive).has_value())
@@ -255,7 +255,7 @@ TEST(Homomorphism, ForcedPairOutOfRangeReportsNoHomomorphism) {
   Structure b = DirectedCycleStructure(3);
   for (const auto& bad : std::vector<std::pair<int, int>>{
            {0, 99}, {0, -1}, {99, 0}, {-1, 0}}) {
-    HomOptions options;
+    EngineConfig options;
     options.forced = {bad};
     EXPECT_FALSE(FindHomomorphism(a, b, options).has_value())
         << "forced (" << bad.first << ", " << bad.second << ")";
@@ -278,7 +278,7 @@ TEST(Homomorphism, ForcedPairOutOfRangeReportsNoHomomorphism) {
 TEST(Homomorphism, ForcedPairInRangeStillWorksAfterValidation) {
   // The validation must not reject legitimate boundary values.
   Structure c3 = DirectedCycleStructure(3);
-  HomOptions options;
+  EngineConfig options;
   options.forced = {{2, 2}};  // last element of each universe
   const auto h = FindHomomorphism(c3, c3, options);
   ASSERT_TRUE(h.has_value());
@@ -297,7 +297,7 @@ TEST(Homomorphism, SurjectiveHomExistsButNoSurjection) {
 
   EXPECT_TRUE(FindHomomorphism(k2, k2_plus_isolated).has_value());
   for (bool use_ac : {true, false}) {
-    HomOptions options;
+    EngineConfig options;
     options.surjective = true;
     options.use_arc_consistency = use_ac;
     EXPECT_FALSE(FindHomomorphism(k2, k2_plus_isolated, options).has_value())
@@ -311,11 +311,11 @@ TEST(Homomorphism, SurjectiveAgreesAcrossEngines) {
   // in parallel) and check the witnesses are genuinely onto.
   Structure c6 = UndirectedGraphStructure(CycleGraph(6));
   Structure c3 = UndirectedGraphStructure(CycleGraph(3));
-  HomOptions ac;
+  EngineConfig ac;
   ac.surjective = true;
-  HomOptions naive = ac;
+  EngineConfig naive = ac;
   naive.use_arc_consistency = false;
-  HomOptions parallel = ac;
+  EngineConfig parallel = ac;
   parallel.num_threads = 3;
 
   const uint64_t count_ac = CountHomomorphisms(c6, c3, 0, ac);
@@ -323,7 +323,7 @@ TEST(Homomorphism, SurjectiveAgreesAcrossEngines) {
   EXPECT_EQ(count_ac, CountHomomorphisms(c6, c3, 0, naive));
   EXPECT_EQ(count_ac, CountHomomorphisms(c6, c3, 0, parallel));
 
-  for (const HomOptions& options : {ac, naive, parallel}) {
+  for (const EngineConfig& options : {ac, naive, parallel}) {
     const auto h = FindHomomorphism(c6, c3, options);
     ASSERT_TRUE(h.has_value());
     std::vector<bool> hit(3, false);
@@ -341,7 +341,7 @@ TEST(Homomorphism, SurjectiveOntoSingleVertexNeedsLoop) {
   Structure loop(GraphVocabulary(), 1);
   loop.AddTuple(0, {0, 0});
   for (bool use_ac : {true, false}) {
-    HomOptions options;
+    EngineConfig options;
     options.surjective = true;
     options.use_arc_consistency = use_ac;
     EXPECT_FALSE(FindHomomorphism(edge, loopless, options).has_value());

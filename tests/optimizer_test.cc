@@ -263,6 +263,24 @@ TEST_F(OptimizerTest, ContainmentCacheRoundTripAndCapacity) {
   EXPECT_GT(stats.insertions, 0u);
 }
 
+// Capacity belongs to the instance: shrinking a local cache leaves the
+// global one (and any other instance) at the default of 16 384 entries.
+TEST_F(OptimizerTest, ContainmentCacheCapacityIsPerInstance) {
+  constexpr uint64_t kDefaultTotal =
+      uint64_t{ContainmentCache::kNumShards} *
+      ContainmentCache::kDefaultShardCapacity;
+  ContainmentCache local;
+  EXPECT_EQ(local.TotalCapacity(), kDefaultTotal);
+  local.SetTotalCapacity(ContainmentCache::kNumShards);
+  EXPECT_EQ(local.TotalCapacity(), uint64_t{ContainmentCache::kNumShards});
+  EXPECT_EQ(ContainmentCache::Global().TotalCapacity(), kDefaultTotal);
+  ContainmentCache other;
+  EXPECT_EQ(other.TotalCapacity(), kDefaultTotal);
+  // Zero rounds up to one entry per shard.
+  local.SetTotalCapacity(0);
+  EXPECT_EQ(local.TotalCapacity(), uint64_t{ContainmentCache::kNumShards});
+}
+
 TEST_F(OptimizerTest, ContainmentCacheStatsAndHitRate) {
   ContainmentCache cache;
   ContainmentCacheStats stats = cache.Stats();
@@ -350,7 +368,11 @@ TEST_F(OptimizerTest, MinimizeUcqIsPermutationInvariant) {
   do {
     std::vector<ConjunctiveQuery> permuted;
     for (size_t i : order) permuted.push_back(disjuncts[i]);
-    const UnionOfCq minimized = MinimizeUcq(UnionOfCq(std::move(permuted)));
+    OptimizerOptions options;
+    options.verify = true;
+    Budget unlimited = Budget::Unlimited();
+    const UnionOfCq minimized = OptimizeUcqBudgeted(
+        UnionOfCq(std::move(permuted)), unlimited, options);
     std::vector<std::string> rendered;
     for (const ConjunctiveQuery& d : minimized.Disjuncts()) {
       rendered.push_back(d.ToString());

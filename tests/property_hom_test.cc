@@ -79,7 +79,7 @@ bool CheckIsHomomorphism(const Structure& a, const Structure& b,
 
 struct Engine {
   std::string name;
-  HomOptions options;
+  EngineConfig options;
 };
 
 std::vector<Engine> AllEngines() {
@@ -108,8 +108,8 @@ Vocabulary MixedVocabulary() {
 // True iff the engine's existence answer differs from the naive
 // backtracking reference on (a, b) under `extra` options.
 bool ExistenceDisagrees(const Structure& a, const Structure& b,
-                        const HomOptions& engine_options) {
-  HomOptions reference;
+                        const EngineConfig& engine_options) {
+  EngineConfig reference;
   reference.use_arc_consistency = false;
   reference.surjective = engine_options.surjective;
   reference.forced = engine_options.forced;
@@ -122,7 +122,7 @@ bool ExistenceDisagrees(const Structure& a, const Structure& b,
 // structure while the engines still disagree, and return the minimized
 // pair for the failure report.
 std::pair<Structure, Structure> Shrink(Structure a, Structure b,
-                                       const HomOptions& engine_options) {
+                                       const EngineConfig& engine_options) {
   bool progress = true;
   while (progress) {
     progress = false;
@@ -162,7 +162,7 @@ std::pair<Structure, Structure> Shrink(Structure a, Structure b,
 
 std::string FailureReport(uint64_t seed, int trial, const std::string& engine,
                           const Structure& a, const Structure& b,
-                          const HomOptions& engine_options) {
+                          const EngineConfig& engine_options) {
   auto [sa, sb] = Shrink(a, b, engine_options);
   return "engine '" + engine + "' disagrees with the naive reference\n" +
          "replay: HOMPRES_TEST_SEED=" + std::to_string(seed) +
@@ -176,7 +176,7 @@ std::string FailureReport(uint64_t seed, int trial, const std::string& engine,
 // (full and limit-clamped) must match.
 void RunTrial(uint64_t seed, int trial, const Structure& a,
               const Structure& b, bool surjective) {
-  HomOptions reference;
+  EngineConfig reference;
   reference.use_arc_consistency = false;
   reference.surjective = surjective;
   const auto expected = FindHomomorphism(a, b, reference);
@@ -191,7 +191,7 @@ void RunTrial(uint64_t seed, int trial, const Structure& a,
   }
 
   for (const Engine& engine : AllEngines()) {
-    HomOptions options = engine.options;
+    EngineConfig options = engine.options;
     options.surjective = surjective;
     const auto witness = FindHomomorphism(a, b, options);
     ASSERT_EQ(witness.has_value(), expected.has_value())
@@ -254,15 +254,15 @@ TEST(PropertyHom, EnginesAgreeUnderForcedPairs) {
     const int m = rng.UniformInt(2, 5);
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, 2 * n), rng);
     const Structure b = RandomStructure(voc, m, rng.UniformInt(0, 3 * m), rng);
-    HomOptions forced;
+    EngineConfig forced;
     forced.forced.emplace_back(rng.UniformInt(0, n - 1),
                                rng.UniformInt(0, m - 1));
 
-    HomOptions reference = forced;
+    EngineConfig reference = forced;
     reference.use_arc_consistency = false;
     const bool expected = FindHomomorphism(a, b, reference).has_value();
     for (const Engine& engine : AllEngines()) {
-      HomOptions options = engine.options;
+      EngineConfig options = engine.options;
       options.forced = forced.forced;
       const auto witness = FindHomomorphism(a, b, options);
       ASSERT_EQ(witness.has_value(), expected)
@@ -282,7 +282,7 @@ TEST(PropertyHom, DeterministicWitnessIsStable) {
   const uint64_t seed = TestSeed() ^ 0x94D049BB133111EBULL;
   Rng rng(seed);
   const Vocabulary voc = GraphVocabulary();
-  HomOptions det;
+  EngineConfig det;
   det.num_threads = 3;
   det.deterministic_witness = true;
   for (int trial = 0; trial < 50; ++trial) {
@@ -314,9 +314,9 @@ TEST(PropertyHom, ZeroThreadsMatchesSerialWitnessExactly) {
     const int m = rng.UniformInt(1, 5);
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, 2 * n), rng);
     const Structure b = RandomStructure(voc, m, rng.UniformInt(0, 3 * m), rng);
-    HomOptions zero_threads;
+    EngineConfig zero_threads;
     zero_threads.num_threads = 0;
-    ASSERT_EQ(FindHomomorphism(a, b, HomOptions{}),
+    ASSERT_EQ(FindHomomorphism(a, b, EngineConfig{}),
               FindHomomorphism(a, b, zero_threads))
         << "seed " << seed << " trial " << trial;
   }
@@ -335,8 +335,8 @@ TEST(PropertyHom, IndexedEngineMatchesScanEngineExactly) {
     const Structure a = RandomStructure(voc, n, rng.UniformInt(0, n + 3), rng);
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
-    HomOptions indexed;
-    HomOptions scan;
+    EngineConfig indexed;
+    EngineConfig scan;
     scan.use_index = false;
     ASSERT_EQ(FindHomomorphism(a, b, indexed), FindHomomorphism(a, b, scan))
         << "seed " << seed << " trial " << trial << "\na: " << a.DebugString()
@@ -370,8 +370,8 @@ TEST(PropertyHom, FactorizedMatchesMonolithicOnDisconnectedSources) {
     if (trial % 3 == 0) a.AddElement();  // singleton component
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
-    HomOptions factorized;  // factorize defaults to true
-    HomOptions monolithic;
+    EngineConfig factorized;  // factorize defaults to true
+    EngineConfig monolithic;
     monolithic.factorize = false;
     const auto fw = FindHomomorphism(a, b, factorized);
     const auto mw = FindHomomorphism(a, b, monolithic);
@@ -441,11 +441,12 @@ TEST(PropertyHom, MutationAfterIndexBuildInvalidatesCache) {
 }
 
 // Plan-vs-legacy differential: the engine's strict plan/execute path
-// must be answer- AND witness-identical to the legacy HomOptions entry
-// points for every serial configuration and every query mode. (The
-// legacy entry points are compat shims over the engine, so this pins the
-// strict planner — validation, factorization, kernel selection — against
-// the normalization path rather than testing a layer against itself.)
+// must be answer- AND witness-identical to the hom/homomorphism.h free
+// functions for every serial configuration and every query mode. (The
+// free functions plan in compatibility mode over the same engine, so
+// this pins the strict planner — validation, factorization, kernel
+// selection — against the normalization path rather than testing a
+// layer against itself.)
 TEST(PropertyHom, StrictEnginePlansMatchLegacyApiExactly) {
   const uint64_t seed = TestSeed() ^ 0x8B7A1C4D5E6F9021ULL;
   Rng rng(seed);
@@ -472,7 +473,7 @@ TEST(PropertyHom, StrictEnginePlansMatchLegacyApiExactly) {
     const Structure b =
         RandomStructure(voc, m, rng.UniformInt(0, 2 * m + 3), rng);
     for (const SerialVariant& variant : variants) {
-      HomOptions legacy;
+      EngineConfig legacy;
       legacy.surjective = variant.config.surjective;
       legacy.use_arc_consistency = variant.config.use_arc_consistency;
       legacy.use_index = variant.config.use_index;
@@ -540,7 +541,7 @@ TEST(PropertyHom, DispatchedSimdMatchesForcedScalarExactly) {
     const std::string where =
         "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
 
-    HomOptions options;  // AC bitset kernel, the SIMD consumer
+    EngineConfig options;  // AC bitset kernel, the SIMD consumer
     const auto dispatched = FindHomomorphism(a, b, options);
     const uint64_t dispatched_count =
         CountHomomorphisms(a, b, /*limit=*/1000, options);
@@ -715,7 +716,7 @@ TEST(PropertyHom, CoverCutOffCountsMatchNaiveKernel) {
     const std::string where = "seed " + std::to_string(seed) + " trial " +
                               std::to_string(trial) + "\na: " +
                               a.DebugString() + "\nb: " + b.DebugString();
-    HomOptions naive;
+    EngineConfig naive;
     naive.use_arc_consistency = false;
     naive.use_index = false;
     naive.surjective = surjective;
@@ -728,7 +729,7 @@ TEST(PropertyHom, CoverCutOffCountsMatchNaiveKernel) {
       limits.push_back(13 + rng.Uniform(expected - 12));
     }
     for (const Engine& engine : AllEngines()) {
-      HomOptions options = engine.options;
+      EngineConfig options = engine.options;
       options.surjective = surjective;
       // The parallel drivers start a thread pool per count: they take no
       // limit and one drawn from the sweep.

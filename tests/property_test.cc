@@ -239,7 +239,7 @@ TEST(SurjectiveHoms, ImagesRealizeSurjections) {
   // embeds into B as all of B"... spot-check: C6 onto C2 and C3, not
   // onto C4.
   Structure c6 = DirectedCycleStructure(6);
-  HomOptions surjective;
+  EngineConfig surjective;
   surjective.surjective = true;
   EXPECT_TRUE(FindHomomorphism(c6, DirectedCycleStructure(2), surjective)
                   .has_value());
